@@ -17,7 +17,6 @@
 use crate::Error;
 use core::fmt;
 use hvx_engine::Cycles;
-use std::collections::VecDeque;
 
 /// Which hypervisor vCPU scheduler multiplexes vCPUs onto a physical
 /// CPU in the consolidation scenarios.
@@ -115,6 +114,24 @@ pub trait VcpuScheduler: fmt::Debug {
 /// Cycles of runtime that consume one credit: one accounting period's
 /// worth of CPU spread over [`CREDITS_PER_PERIOD`] credits.
 pub const CYCLES_PER_CREDIT: u64 = ACCT_PERIOD.as_u64() / CREDITS_PER_PERIOD as u64;
+
+/// Position of vCPU `id` among a runqueue's entries (in registration
+/// order). Every caller registers ids densely from 0, so entry `id` is
+/// normally `id` itself and the lookup is O(1); any other registration
+/// falls back to a linear search.
+///
+/// # Panics
+///
+/// Panics if `id` is not registered.
+fn slot<E>(entries: &[E], id: usize, id_of: impl Fn(&E) -> usize) -> usize {
+    match entries.get(id) {
+        Some(e) if id_of(e) == id => id,
+        _ => entries
+            .iter()
+            .position(|e| id_of(e) == id)
+            .unwrap_or_else(|| panic!("vcpu {id} not registered")),
+    }
+}
 
 /// [`CreditScheduler`] behind the [`VcpuScheduler`] interface:
 /// accumulates cycle charges into whole credits (remainders carry, so
@@ -240,17 +257,12 @@ impl CfsScheduler {
     }
 
     fn entry_mut(&mut self, id: usize) -> &mut CfsEntry {
-        self.entries
-            .iter_mut()
-            .find(|e| e.id == id)
-            .unwrap_or_else(|| panic!("vcpu {id} not registered"))
+        let i = slot(&self.entries, id, |e| e.id);
+        &mut self.entries[i]
     }
 
     fn entry(&self, id: usize) -> &CfsEntry {
-        self.entries
-            .iter()
-            .find(|e| e.id == id)
-            .unwrap_or_else(|| panic!("vcpu {id} not registered"))
+        &self.entries[slot(&self.entries, id, |e| e.id)]
     }
 
     /// A vCPU's current virtual runtime (tests, reports).
@@ -279,16 +291,15 @@ impl VcpuScheduler for CfsScheduler {
     }
 
     fn pick(&mut self) -> Option<usize> {
-        let picked = self
+        let best = self
             .entries
             .iter()
             .filter(|e| e.runnable)
-            .min_by_key(|e| (e.vruntime, e.id))
-            .map(|e| e.id);
-        if let Some(id) = picked {
-            let v = self.entry(id).vruntime;
-            self.min_vruntime = self.min_vruntime.max(v);
+            .min_by_key(|e| (e.vruntime, e.id));
+        if let Some(e) = best {
+            self.min_vruntime = self.min_vruntime.max(e.vruntime);
         }
+        let picked = best.map(|e| e.id);
         if picked != self.current {
             self.switches += 1;
         }
@@ -359,6 +370,25 @@ struct Entry {
     credit: i64,
     priority: CreditPriority,
     runnable: bool,
+    /// FIFO position within a priority class: the order of
+    /// registration, renewed each time the VCPU yields (the back of the
+    /// queue). Unique per runqueue, and below 2^62.
+    seq: u64,
+    /// Credit refilled per accounting period: its weight's share of
+    /// [`CREDITS_PER_PERIOD`].
+    share: i64,
+}
+
+impl Entry {
+    /// [`CreditScheduler::pick`]'s order as one integer: priority class,
+    /// then FIFO position; blocked VCPUs sort last.
+    fn pick_key(&self) -> u64 {
+        if self.runnable {
+            ((self.priority as u64) << 62) | self.seq
+        } else {
+            u64::MAX
+        }
+    }
 }
 
 /// The 30 ms credit-refill period (in cycles at the ARM platform's
@@ -387,7 +417,8 @@ pub const CREDITS_PER_PERIOD: i64 = 300;
 #[derive(Debug, Clone, Default)]
 pub struct CreditScheduler {
     entries: Vec<Entry>,
-    queue: VecDeque<usize>,
+    /// The next FIFO sequence number to hand out.
+    next_seq: u64,
     current: Option<usize>,
     switches: u64,
 }
@@ -409,28 +440,35 @@ impl CreditScheduler {
             self.entries.iter().all(|e| e.id != id),
             "vcpu {id} already registered"
         );
+        let seq = self.take_seq();
         self.entries.push(Entry {
             id,
             weight,
             credit: 0,
             priority: CreditPriority::Under,
             runnable: true,
+            seq,
+            share: 0,
         });
-        self.queue.push_back(id);
+        let total_weight: i64 = self.entries.iter().map(|e| i64::from(e.weight)).sum();
+        for e in &mut self.entries {
+            e.share = CREDITS_PER_PERIOD * i64::from(e.weight) / total_weight;
+        }
+    }
+
+    fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        debug_assert!(self.next_seq < 1 << 62, "FIFO sequence overflows pick_key");
+        self.next_seq
     }
 
     fn entry_mut(&mut self, id: usize) -> &mut Entry {
-        self.entries
-            .iter_mut()
-            .find(|e| e.id == id)
-            .unwrap_or_else(|| panic!("vcpu {id} not registered"))
+        let i = slot(&self.entries, id, |e| e.id);
+        &mut self.entries[i]
     }
 
     fn entry(&self, id: usize) -> &Entry {
-        self.entries
-            .iter()
-            .find(|e| e.id == id)
-            .unwrap_or_else(|| panic!("vcpu {id} not registered"))
+        &self.entries[slot(&self.entries, id, |e| e.id)]
     }
 
     /// The VCPU currently on the CPU, if any.
@@ -446,19 +484,12 @@ impl CreditScheduler {
     /// Picks the next VCPU to run: highest priority class first, FIFO
     /// within a class; `None` means the idle domain runs.
     pub fn pick(&mut self) -> Option<usize> {
-        let mut best: Option<(CreditPriority, usize, usize)> = None; // (prio, queue pos, id)
-        for (pos, id) in self.queue.iter().enumerate() {
-            let e = self.entry(*id);
-            if !e.runnable {
-                continue;
-            }
-            let key = (e.priority, pos);
-            match best {
-                Some((bp, bpos, _)) if (bp, bpos) <= key => {}
-                _ => best = Some((e.priority, pos, *id)),
-            }
-        }
-        let picked = best.map(|(_, _, id)| id);
+        let picked = self
+            .entries
+            .iter()
+            .min_by_key(|e| e.pick_key())
+            .filter(|e| e.runnable)
+            .map(|e| e.id);
         if picked != self.current {
             self.switches += 1;
         }
@@ -466,8 +497,17 @@ impl CreditScheduler {
         picked
     }
 
-    /// Charges `credits` of runtime to a VCPU; it drops to OVER when its
-    /// credit is exhausted (and loses any boost the moment it runs).
+    /// Charges `credits` of runtime to a VCPU: it drops to OVER when its
+    /// credit is exhausted and is UNDER otherwise, so any charge also
+    /// ends a BOOST.
+    ///
+    /// Through [`CreditVcpuSched`], which passes on whole credits only,
+    /// a boosted vCPU therefore keeps BOOST while it runs until its
+    /// accumulated run time (carried across activations) crosses the
+    /// next multiple of [`CYCLES_PER_CREDIT`] (240,000 cycles), not the
+    /// moment it is dispatched. Neither the accounting tick nor a timer
+    /// preemption clears BOOST, so a boosted vCPU can outrank UNDER
+    /// ones for up to one credit's worth of run time.
     pub fn charge(&mut self, id: usize, credits: i64) {
         let e = self.entry_mut(id);
         e.credit -= credits;
@@ -512,10 +552,8 @@ impl CreditScheduler {
     /// queue.
     pub fn yield_current(&mut self) {
         if let Some(id) = self.current.take() {
-            if let Some(pos) = self.queue.iter().position(|q| *q == id) {
-                self.queue.remove(pos);
-                self.queue.push_back(id);
-            }
+            let seq = self.take_seq();
+            self.entry_mut(id).seq = seq;
         }
     }
 
@@ -524,13 +562,8 @@ impl CreditScheduler {
     /// period's worth) and restoring UNDER to everyone with positive
     /// credit.
     pub fn account(&mut self) {
-        let total_weight: u64 = self.entries.iter().map(|e| u64::from(e.weight)).sum();
-        if total_weight == 0 {
-            return;
-        }
         for e in &mut self.entries {
-            let share = CREDITS_PER_PERIOD * i64::from(e.weight) / total_weight as i64;
-            e.credit = (e.credit + share).min(CREDITS_PER_PERIOD);
+            e.credit = (e.credit + e.share).min(CREDITS_PER_PERIOD);
             if e.priority != CreditPriority::Boost {
                 e.priority = if e.credit > 0 {
                     CreditPriority::Under

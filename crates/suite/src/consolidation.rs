@@ -31,12 +31,28 @@
 //! At ratio 1:1 the cell is periodic: every transaction replays the
 //! same op stream, so the driver opens a loop-compiler session and the
 //! machine replays steady-state transactions in O(1). Under contention
-//! (ratio > 1) the interleaving of `2×ratio` vCPUs across two shared
-//! clocks is aperiodic at the transaction level, so the driver runs
-//! fully interpreted — the transparent fallback the differential tests
-//! in `tests/compile_diff.rs` pin down byte-for-byte.
+//! (ratio > 1) the driver runs fully interpreted — the transparent
+//! fallback the differential tests in `tests/compile_diff.rs` pin down
+//! byte-for-byte. The session model is one transaction of VM 0 per
+//! iteration, and a contended cell does not repeat at that grain:
+//!
+//! * **CFS** cells repeat exactly from the second round on, with a
+//!   period of one round (every VM completes one transaction; 13
+//!   transitions per VM, so 208 at 16:1, on all four hypervisors). They
+//!   are periodic, just not per transaction.
+//! * **Credit** cells do not settle. [`CreditVcpuSched`] carries each
+//!   vCPU's sub-credit remainder across activations, so BOOST expires
+//!   at a different point of every round; no repeating state has been
+//!   found within 4,000 rounds.
+//!
+//! An interpreted step sweeps no per-VM state: the schedulers look
+//! vCPUs up by id in O(1), each pCPU keeps a count of its runnable
+//! vCPUs, and pending wakes (request arrivals, SGI wire arrivals) sit
+//! in a per-pCPU min-heap, O(log r) per event. Only a scheduler `pick`
+//! still scans the pCPU's r entries, once.
 //!
 //! [`VcpuScheduler`]: hvx_core::VcpuScheduler
+//! [`CreditVcpuSched`]: hvx_core::CreditVcpuSched
 //! [`SchedPolicy`]: hvx_core::SchedPolicy
 //! [`Distributor::mmio_write`]: hvx_gic::Distributor::mmio_write
 //! [`VgicCpuInterface::inject`]: hvx_gic::VgicCpuInterface::inject
@@ -44,7 +60,8 @@
 //! [`TransitionId::SchedTimer`]: hvx_engine::TransitionId::SchedTimer
 //! [`TransitionId::LockHolderSpin`]: hvx_engine::TransitionId::LockHolderSpin
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use hvx_core::{Error, HvKind, Hypervisor, SchedPolicy, SimBuilder, VCpu, VcpuScheduler};
 use hvx_engine::{CoreId, Cycles, FaultPlan, FaultPoint, Machine, TraceKind, TransitionId};
@@ -224,14 +241,10 @@ struct VmState {
     vgic_b: VgicCpuInterface,
     /// The sibling holds the guest kernel lock.
     lock_held: bool,
-    /// Next request arrival (`u64::MAX` = none outstanding / done).
-    arrival: u64,
     /// Arrival instant of the in-flight transaction (latency base).
     txn_started: u64,
     /// Transactions completed.
     done: u32,
-    /// Sent-but-undelivered SGI wire arrivals, in send order.
-    ipi_q: VecDeque<u64>,
     /// The last kick was dropped by the fault plan; the primary vCPU
     /// notices via its completion timeout at the top of the next
     /// transaction and re-sends.
@@ -253,7 +266,12 @@ struct Pcpu {
     /// so a dispatch out of idle charges a world switch.
     last_ran: Option<usize>,
     quantum_left: u64,
+    /// Pinned vCPUs in [`VcpuState::Runnable`](hvx_core::VcpuState).
+    runnable: usize,
 }
+
+/// Pending wake events of one pCPU as `(instant, vm)`, earliest first.
+type WakeHeap = BinaryHeap<Reverse<(u64, usize)>>;
 
 /// Mutable counters a cell accumulates (live + replayed).
 #[derive(Debug, Default, Clone, Copy)]
@@ -299,6 +317,13 @@ struct Cell {
     a: Vec<Side>,
     b: Vec<Side>,
     p: [Pcpu; 2],
+    /// Undelivered wake events per pCPU: request arrivals on pCPU0 (at
+    /// most one per VM, only while its vCPU A is idle), SGI wire
+    /// arrivals on pCPU1 (each VM's in send order, strictly increasing).
+    wakes: [WakeHeap; 2],
+    /// Scratch for [`Cell::deliver_wakes`]: the due events as `(vm,
+    /// instant)`.
+    due: Vec<(usize, u64)>,
     costs: Costs,
     txns_per_vm: u32,
     n: Counters,
@@ -324,10 +349,8 @@ impl Cell {
                 dist,
                 vgic_b: VgicCpuInterface::new(),
                 lock_held: false,
-                arrival: 0, // every VM's first request arrives at t=0
                 txn_started: 0,
                 done: 0,
-                ipi_q: VecDeque::new(),
                 kick_lost: false,
             });
         }
@@ -344,8 +367,11 @@ impl Cell {
                 running: None,
                 last_ran: None,
                 quantum_left: QUANTUM,
+                runnable: 0,
             }
         };
+        // Every VM's first request arrives at t=0.
+        let arrivals = (0..r).map(|v| Reverse((0, v))).collect();
         Cell {
             vms,
             a: (0..r)
@@ -361,6 +387,8 @@ impl Cell {
                 })
                 .collect(),
             p: [mk_pcpu(topo[0]), mk_pcpu(topo[1])],
+            wakes: [arrivals, WakeHeap::new()],
+            due: Vec::new(),
             costs: kind_costs,
             txns_per_vm: txns,
             n: Counters::default(),
@@ -369,30 +397,37 @@ impl Cell {
 
     /// Earliest undelivered wake event for pCPU `p` (`u64::MAX` none).
     fn next_wake(&self, p: usize) -> u64 {
-        let mut t = u64::MAX;
-        for (v, vm) in self.vms.iter().enumerate() {
-            if p == 0 {
-                if self.a[v].phase == Phase::Idle && vm.arrival != u64::MAX {
-                    t = t.min(vm.arrival);
-                }
-            } else if let Some(&arr) = vm.ipi_q.front() {
-                t = t.min(arr);
-            }
-        }
-        t
+        self.wakes[p].peek().map_or(u64::MAX, |&Reverse((t, _))| t)
+    }
+
+    /// Queues a wake event for VM `v` on pCPU `p`: its next request
+    /// arrival (pCPU0) or a kick's SGI wire arrival (pCPU1).
+    fn push_wake(&mut self, p: usize, at: u64, v: usize) {
+        debug_assert!(
+            p == 1 || self.a[v].phase == Phase::Idle,
+            "VM {v}: arrival set while its vCPU A is busy"
+        );
+        debug_assert!(
+            self.wakes[p]
+                .iter()
+                .all(|&Reverse((t, w))| w != v || (p == 1 && t < at)),
+            "VM {v}: second pending arrival, or a kick arriving out of send order"
+        );
+        self.wakes[p].push(Reverse((at, v)));
     }
 
     /// When pCPU `p` can next do something (`u64::MAX` = never).
     fn actionable(&self, m: &Machine, p: usize) -> u64 {
         let now = m.now(self.p[p].core).as_u64();
-        if self.p[p].running.is_some() {
-            return now;
-        }
-        let sides = if p == 0 { &self.a } else { &self.b };
-        if sides
-            .iter()
-            .any(|s| s.vcpu.state() == hvx_core::VcpuState::Runnable)
-        {
+        debug_assert_eq!(
+            self.p[p].runnable,
+            if p == 0 { &self.a } else { &self.b }
+                .iter()
+                .filter(|s| s.vcpu.state() == hvx_core::VcpuState::Runnable)
+                .count(),
+            "pCPU{p}: runnable count out of step"
+        );
+        if self.p[p].running.is_some() || self.p[p].runnable > 0 {
             return now;
         }
         match self.next_wake(p) {
@@ -411,48 +446,53 @@ impl Cell {
                 &mut self.b[cur]
             };
             side.vcpu.preempt(now);
+            self.p[p].runnable += 1;
             self.n.preemptions += 1;
         }
     }
 
     /// Delivers due wake events on `p`: request arrivals (pCPU0) or
-    /// SGI wire arrivals → vGIC injection (pCPU1).
+    /// SGI wire arrivals → vGIC injection (pCPU1). Due events are
+    /// handled in ascending VM order, each VM's kicks in send order.
     fn deliver_wakes(&mut self, m: &mut Machine, p: usize) {
         let now = m.now(self.p[p].core).as_u64();
-        for v in 0..self.vms.len() {
+        let mut due = std::mem::take(&mut self.due);
+        while let Some(&Reverse((at, v))) = self.wakes[p].peek() {
+            if at > now {
+                break;
+            }
+            self.wakes[p].pop();
+            due.push((v, at));
+        }
+        due.sort_unstable();
+        for &(v, at) in &due {
             if p == 0 {
-                let vm = &mut self.vms[v];
-                if self.a[v].phase == Phase::Idle && vm.arrival != u64::MAX && vm.arrival <= now {
-                    let at = vm.arrival;
-                    vm.txn_started = at;
-                    vm.arrival = u64::MAX; // in flight
-                    self.a[v].vcpu.wake(at);
-                    self.a[v].phase = Phase::Lock;
-                    if self.p[0].sched.wake(v) {
-                        self.preempt_running(m, 0);
-                    }
+                debug_assert_eq!(self.a[v].phase, Phase::Idle);
+                self.vms[v].txn_started = at;
+                self.a[v].vcpu.wake(at);
+                self.p[0].runnable += 1;
+                self.a[v].phase = Phase::Lock;
+                if self.p[0].sched.wake(v) {
+                    self.preempt_running(m, 0);
                 }
             } else {
-                while let Some(&arr) = self.vms[v].ipi_q.front() {
-                    if arr > now {
-                        break;
-                    }
-                    self.vms[v].ipi_q.pop_front();
-                    match self.vms[v].vgic_b.inject(SGI, 0x80) {
-                        Ok(_) => {}
-                        Err(VgicError::AlreadyListed { .. }) => self.n.ipis_coalesced += 1,
-                        Err(e) => panic!("SGI injection failed: {e}"),
-                    }
-                    if self.b[v].phase == Phase::Idle {
-                        self.b[v].vcpu.wake(arr);
-                        self.b[v].phase = Phase::Ack;
-                        if self.p[1].sched.wake(v) {
-                            self.preempt_running(m, 1);
-                        }
+                match self.vms[v].vgic_b.inject(SGI, 0x80) {
+                    Ok(_) => {}
+                    Err(VgicError::AlreadyListed { .. }) => self.n.ipis_coalesced += 1,
+                    Err(e) => panic!("SGI injection failed: {e}"),
+                }
+                if self.b[v].phase == Phase::Idle {
+                    self.b[v].vcpu.wake(at);
+                    self.p[1].runnable += 1;
+                    self.b[v].phase = Phase::Ack;
+                    if self.p[1].sched.wake(v) {
+                        self.preempt_running(m, 1);
                     }
                 }
             }
         }
+        due.clear();
+        self.due = due;
     }
 
     /// Timer interrupt on `p`: charge, account, involuntarily
@@ -477,6 +517,7 @@ impl Cell {
                 &mut self.b[cur]
             };
             side.vcpu.preempt(end);
+            self.p[p].runnable += 1;
             self.n.preemptions += 1;
             self.p[p].sched.yield_current();
         }
@@ -519,6 +560,7 @@ impl Cell {
                     &mut self.b[v]
                 };
                 side.vcpu.schedule_in(now);
+                self.p[p].runnable -= 1;
                 self.p[p].running = Some(v);
                 self.p[p].last_ran = Some(v);
                 self.p[p].quantum_left = QUANTUM;
@@ -602,7 +644,7 @@ impl Cell {
                         .expect("SGIR resend");
                     debug_assert_eq!(effect.sgi_targets.len(), 1);
                     let arrival = m.signal(self.p[0].core, self.p[1].core, Cycles::new(IPI_WIRE));
-                    self.vms[v].ipi_q.push_back(arrival.as_u64());
+                    self.push_wake(1, arrival.as_u64(), v);
                     self.vms[v].kick_lost = false;
                     self.n.ipis_resent += 1;
                 } else if self.vms[v].lock_held {
@@ -668,7 +710,7 @@ impl Cell {
                     self.vms[v].kick_lost = true;
                 } else {
                     let arrival = m.signal(self.p[0].core, self.p[1].core, Cycles::new(IPI_WIRE));
-                    self.vms[v].ipi_q.push_back(arrival.as_u64());
+                    self.push_wake(1, arrival.as_u64(), v);
                     if recording {
                         m.loop_set_reg(1, arrival);
                     }
@@ -687,18 +729,20 @@ impl Cell {
                 let vm = &mut self.vms[v];
                 vm.done += 1;
                 let latency = end - vm.txn_started;
+                let more = vm.done < self.txns_per_vm;
                 self.n.transactions += 1;
                 self.n.sum_latency += latency;
-                if vm.done < self.txns_per_vm {
-                    vm.arrival = end + THINK;
-                    if recording {
-                        m.loop_set_reg(0, Cycles::new(vm.arrival));
-                    }
-                }
                 self.a[v].vcpu.block(end);
                 self.a[v].phase = Phase::Idle;
                 self.p[0].sched.block(v);
                 self.p[0].running = None;
+                if more {
+                    let arrival = end + THINK;
+                    self.push_wake(0, arrival, v);
+                    if recording {
+                        m.loop_set_reg(0, Cycles::new(arrival));
+                    }
+                }
             }
             Phase::Ack => {
                 self.charge_guest(
@@ -871,14 +915,14 @@ pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervis
                 cell.n.extend_scaled(&snap, skipped);
                 cell.n.steal_replayed += steal_delta * skipped;
                 cell.vms[0].done += skipped as u32;
-                cell.vms[0].arrival = if cell.vms[0].done < cfg.txns_per_vm {
-                    m.loop_reg(0).map_or(u64::MAX, |c| c.as_u64())
-                } else {
-                    u64::MAX // run complete: nothing left to arrive
-                };
-                cell.vms[0].ipi_q.clear();
+                cell.wakes = Default::default();
+                if cell.vms[0].done < cfg.txns_per_vm {
+                    if let Some(arrival) = m.loop_reg(0) {
+                        cell.push_wake(0, arrival.as_u64(), 0);
+                    }
+                }
                 if let Some(ipi) = m.loop_reg(1) {
-                    cell.vms[0].ipi_q.push_back(ipi.as_u64());
+                    cell.push_wake(1, ipi.as_u64(), 0);
                 }
                 continue;
             }
@@ -1145,6 +1189,47 @@ mod tests {
             (b.ipis_dropped, b.makespan_cycles),
             "different seeds must produce different fault schedules"
         );
+    }
+
+    /// Every field of the contended (interpreted) cells, pinned: KVM ARM
+    /// and Xen x86 under both schedulers at 4:1 and 16:1, then the
+    /// fault-armed 4:1 cell whose resent kicks take the wake-event path
+    /// too. Scheduler or wake-delivery changes must leave all of it
+    /// unchanged.
+    #[test]
+    fn contended_cells_match_pinned_results() {
+        const PINNED: [&str; 9] = [
+            r#"{"column":"KVM ARM","ratio":4,"sched":"credit","txns_per_vm":12,"transactions":48,"sum_latency_cycles":11399224,"steal_cycles":7805583,"lock_spin_cycles":4000,"vm_switches":142,"preemptions":54,"timer_fires":46,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":3667284,"iters_replayed":0}"#,
+            r#"{"column":"KVM ARM","ratio":16,"sched":"credit","txns_per_vm":12,"transactions":192,"sum_latency_cycles":165801778,"steal_cycles":151391037,"lock_spin_cycles":10000,"vm_switches":574,"preemptions":222,"timer_fires":184,"ipis_sent":192,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":14564964,"iters_replayed":0}"#,
+            r#"{"column":"KVM ARM","ratio":4,"sched":"cfs","txns_per_vm":12,"transactions":48,"sum_latency_cycles":13793742,"steal_cycles":10161582,"lock_spin_cycles":0,"vm_switches":144,"preemptions":48,"timer_fires":48,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":3661658,"iters_replayed":0}"#,
+            r#"{"column":"KVM ARM","ratio":16,"sched":"cfs","txns_per_vm":12,"transactions":192,"sum_latency_cycles":226208280,"steal_cycles":211679640,"lock_spin_cycles":0,"vm_switches":576,"preemptions":192,"timer_fires":192,"ipis_sent":192,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":14558138,"iters_replayed":0}"#,
+            r#"{"column":"Xen x86","ratio":4,"sched":"credit","txns_per_vm":12,"transactions":48,"sum_latency_cycles":12306970,"steal_cycles":9067366,"lock_spin_cycles":7000,"vm_switches":143,"preemptions":59,"timer_fires":44,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":3380664,"iters_replayed":0}"#,
+            r#"{"column":"Xen x86","ratio":16,"sched":"credit","txns_per_vm":12,"transactions":192,"sum_latency_cycles":200524606,"steal_cycles":187572574,"lock_spin_cycles":25000,"vm_switches":575,"preemptions":239,"timer_fires":176,"ipis_sent":192,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":13430184,"iters_replayed":0}"#,
+            r#"{"column":"Xen x86","ratio":4,"sched":"cfs","txns_per_vm":12,"transactions":48,"sum_latency_cycles":12689784,"steal_cycles":9440808,"lock_spin_cycles":0,"vm_switches":144,"preemptions":48,"timer_fires":48,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":3379484,"iters_replayed":0}"#,
+            r#"{"column":"Xen x86","ratio":16,"sched":"cfs","txns_per_vm":12,"transactions":192,"sum_latency_cycles":208691040,"steal_cycles":197264160,"lock_spin_cycles":0,"vm_switches":576,"preemptions":192,"timer_fires":192,"ipis_sent":192,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":13436948,"iters_replayed":0}"#,
+            r#"{"column":"KVM ARM","ratio":4,"sched":"credit","txns_per_vm":12,"transactions":48,"sum_latency_cycles":14063753,"steal_cycles":9977660,"lock_spin_cycles":54000,"vm_switches":147,"preemptions":69,"timer_fires":57,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":14,"ipis_resent":11,"makespan_cycles":4146936,"iters_replayed":0}"#,
+        ];
+        let mut cfgs = Vec::new();
+        for kind in [HvKind::KvmArm, HvKind::XenX86] {
+            for policy in SchedPolicy::ALL {
+                for ratio in [4, 16] {
+                    cfgs.push(CellConfig {
+                        kind,
+                        ratio,
+                        policy,
+                        txns_per_vm: T,
+                        compile: false,
+                        profiling: false,
+                        fault: None,
+                    });
+                }
+            }
+        }
+        cfgs.push(faulted_cfg(4, 0.3, false));
+        for (cfg, pinned) in cfgs.into_iter().zip(PINNED) {
+            let want: CellResult = serde_json::from_str(pinned).expect("pinned result parses");
+            assert_eq!(run_cell_with(cfg).unwrap(), want);
+        }
     }
 
     #[test]

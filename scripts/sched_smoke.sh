@@ -1,7 +1,8 @@
 #!/bin/sh
 # Scheduler/consolidation smoke test: the 1:1 and 8:1 sweep endpoints
-# via `run --spec`, steal monotonicity between them, and spec
-# round-trip identity. Run from the repository root.
+# via `run --spec` under both vCPU schedulers, steal monotonicity
+# between them, and spec round-trip identity. Run from the repository
+# root.
 set -eu
 
 cargo build -q --release -p hvx-suite
@@ -15,8 +16,8 @@ steal_of() {
 }
 
 make_spec() {
-    # $1 = vms
-    cat > "$tmp/spec-$1.json" <<EOF
+    # $1 = vms, $2 = scheduler (Credit | Cfs); writes spec-$1-$2.json
+    cat > "$tmp/spec-$1-$2.json" <<EOF
 {
   "hypervisor": "KvmArm",
   "topology": {
@@ -25,7 +26,7 @@ make_spec() {
     "vms": $1,
     "vcpus_per_vm": 2
   },
-  "scheduler": "Credit",
+  "scheduler": "$2",
   "workload": "TcpRr",
   "virq_policy": "Vcpu0",
   "transactions": null,
@@ -39,8 +40,8 @@ EOF
 }
 
 echo "== 1:1 endpoint: no steal =="
-make_spec 1
-one=$("$repro" run --spec "$tmp/spec-1.json")
+make_spec 1 Credit
+one=$("$repro" run --spec "$tmp/spec-1-Credit.json")
 echo "$one"
 steal_one=$(steal_of "$one")
 if [ "$steal_one" != "0" ]; then
@@ -49,8 +50,8 @@ if [ "$steal_one" != "0" ]; then
 fi
 
 echo "== 8:1 endpoint: steal strictly positive =="
-make_spec 8
-eight=$("$repro" run --spec "$tmp/spec-8.json")
+make_spec 8 Credit
+eight=$("$repro" run --spec "$tmp/spec-8-Credit.json")
 echo "$eight"
 steal_eight=$(steal_of "$eight")
 if [ "$steal_eight" -le "$steal_one" ]; then
@@ -66,7 +67,7 @@ case "$eight" in
 esac
 
 echo "== spec runs are reproducible and match the shipped example =="
-again=$("$repro" run --spec "$tmp/spec-8.json")
+again=$("$repro" run --spec "$tmp/spec-8-Credit.json")
 if [ "$eight" != "$again" ]; then
     echo "sched_smoke: two runs of the same spec diverged" >&2
     exit 1
@@ -74,6 +75,31 @@ fi
 shipped=$("$repro" run --spec specs/consolidation-8to1.json)
 if [ "$eight" != "$shipped" ]; then
     echo "sched_smoke: shipped example diverged from the inline spec" >&2
+    exit 1
+fi
+
+echo "== CFS 8:1 endpoint: steal positive and above the CFS 1:1 endpoint =="
+make_spec 1 Cfs
+cfs_one=$("$repro" run --spec "$tmp/spec-1-Cfs.json")
+steal_cfs_one=$(steal_of "$cfs_one")
+make_spec 8 Cfs
+cfs_eight=$("$repro" run --spec "$tmp/spec-8-Cfs.json")
+echo "$cfs_eight"
+steal_cfs_eight=$(steal_of "$cfs_eight")
+case "$cfs_eight" in
+*"scheduler:    cfs"*) ;;
+*)
+    echo "sched_smoke: CFS spec did not run the cfs scheduler" >&2
+    exit 1
+    ;;
+esac
+if [ "$steal_cfs_eight" -le 0 ] || [ "$steal_cfs_eight" -le "$steal_cfs_one" ]; then
+    echo "sched_smoke: CFS steal not positive and monotone: 1:1=$steal_cfs_one, 8:1=$steal_cfs_eight" >&2
+    exit 1
+fi
+cfs_again=$("$repro" run --spec "$tmp/spec-8-Cfs.json")
+if [ "$cfs_eight" != "$cfs_again" ]; then
+    echo "sched_smoke: two runs of the CFS 8:1 spec diverged" >&2
     exit 1
 fi
 

@@ -114,7 +114,10 @@ fi
 
 echo "== flood sheds with 429, accept loop stays live =="
 # Distinct heavy 16:1 cells (transaction counts never repeat) flood a
-# freshly drained queue; the weight bound must shed some with 429.
+# freshly drained queue; the weight bound must shed some with 429. Each
+# cell must take the two workers longer than a CLI submission takes to
+# arrive, or the queue never fills: about 90 ms at 6,000 transactions
+# per VM on a 2-vCPU x86-64 host.
 shed=0
 n=0
 while [ "$n" -lt 40 ]; do
@@ -126,7 +129,7 @@ while [ "$n" -lt 40 ]; do
   "scheduler": "Credit",
   "workload": "TcpRr",
   "virq_policy": "Vcpu0",
-  "transactions": $((2000 + n)),
+  "transactions": $((6000 + n)),
   "fault": null,
   "watchdog": {"cycle_budget": null, "livelock_threshold": null}
 }
