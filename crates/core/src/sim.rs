@@ -81,27 +81,46 @@ impl Workload {
         }
     }
 
-    /// Parses a workload name (catalog spelling, case-insensitive;
-    /// `netperf` is accepted as the TCP_RR alias).
+    /// Every workload with its CLI slug, in declaration order (the
+    /// `netperf` alias included).
+    pub const SLUGS: [(Workload, &'static str); 10] = [
+        (Workload::Kernbench, "kernbench"),
+        (Workload::Hackbench, "hackbench"),
+        (Workload::SpecJvm2008, "specjvm2008"),
+        (Workload::Netperf, "netperf"),
+        (Workload::TcpRr, "tcp_rr"),
+        (Workload::TcpStream, "tcp_stream"),
+        (Workload::TcpMaerts, "tcp_maerts"),
+        (Workload::Apache, "apache"),
+        (Workload::Memcached, "memcached"),
+        (Workload::Mysql, "mysql"),
+    ];
+
+    /// The workload's CLI slug (`netperf`, `tcp_rr`, ...).
+    pub fn slug(self) -> &'static str {
+        Workload::SLUGS
+            .into_iter()
+            .find_map(|(w, slug)| (w == self).then_some(slug))
+            .expect("every workload has a slug")
+    }
+
+    /// Parses a workload name: its slug, case-insensitive, or one of
+    /// the aliases `specjvm` and `tcp-rr`/`tcp-stream`/`tcp-maerts`.
     ///
     /// # Errors
     ///
     /// [`Error::UnknownWorkload`] when the name matches nothing.
     pub fn parse(name: &str) -> Result<Workload, Error> {
-        let lower = name.to_ascii_lowercase();
-        match lower.as_str() {
-            "kernbench" => Ok(Workload::Kernbench),
-            "hackbench" => Ok(Workload::Hackbench),
-            "specjvm2008" | "specjvm" => Ok(Workload::SpecJvm2008),
-            "netperf" => Ok(Workload::Netperf),
-            "tcp_rr" | "tcp-rr" => Ok(Workload::TcpRr),
-            "tcp_stream" | "tcp-stream" => Ok(Workload::TcpStream),
-            "tcp_maerts" | "tcp-maerts" => Ok(Workload::TcpMaerts),
-            "apache" => Ok(Workload::Apache),
-            "memcached" => Ok(Workload::Memcached),
-            "mysql" => Ok(Workload::Mysql),
-            _ => Err(Error::UnknownWorkload { name: name.into() }),
-        }
+        let lower = name.to_ascii_lowercase().replace('-', "_");
+        let slug = if lower == "specjvm" {
+            "specjvm2008"
+        } else {
+            &lower
+        };
+        Workload::SLUGS
+            .into_iter()
+            .find_map(|(w, s)| (s == slug).then_some(w))
+            .ok_or_else(|| Error::UnknownWorkload { name: name.into() })
     }
 }
 
@@ -406,14 +425,7 @@ mod tests {
 
     #[test]
     fn builder_builds_every_kind() {
-        for kind in [
-            HvKind::KvmArm,
-            HvKind::XenArm,
-            HvKind::KvmX86,
-            HvKind::XenX86,
-            HvKind::KvmArmVhe,
-            HvKind::Native,
-        ] {
+        for kind in HvKind::ALL {
             let sim = SimBuilder::new(kind).build().expect("default is valid");
             assert_eq!(sim.kind(), kind);
             assert_eq!(sim.num_vcpus(), PAPER_VCPUS);
@@ -484,7 +496,12 @@ mod tests {
         for w in Workload::ALL {
             assert_eq!(Workload::parse(w.catalog_name()).unwrap(), w);
         }
-        assert_eq!(Workload::parse("netperf").unwrap(), Workload::Netperf);
+        for (w, slug) in Workload::SLUGS {
+            assert_eq!(w.slug(), slug);
+            assert_eq!(Workload::parse(slug).unwrap(), w);
+        }
+        assert_eq!(Workload::parse("tcp-rr").unwrap(), Workload::TcpRr);
+        assert_eq!(Workload::parse("specjvm").unwrap(), Workload::SpecJvm2008);
         assert_eq!(
             Workload::Netperf.catalog_name(),
             Workload::TcpRr.catalog_name()

@@ -138,7 +138,8 @@ pub struct ScenarioSpec {
     pub transactions: Option<u32>,
     /// Deterministic fault plan, if any.
     pub fault: Option<FaultSpec>,
-    /// Watchdog limits enforced while the scenario runs.
+    /// Watchdog limits enforced while the scenario runs, whatever its
+    /// shape.
     pub watchdog: Watchdog,
 }
 

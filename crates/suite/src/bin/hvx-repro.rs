@@ -44,8 +44,8 @@
 //! (`hvx-repro table2 --jobs 2` and friends) is retired: any first
 //! token that is not a subcommand exits 2 with a pointer to the
 //! equivalent `run` invocation. `run --spec FILE` runs the single
-//! scenario a JSON [`ScenarioSpec`](hvx_core::ScenarioSpec) file
-//! describes instead of an artifact matrix. `--jobs N` fans
+//! scenario a JSON [`ScenarioSpec`] file describes instead of an
+//! artifact matrix. `--jobs N` fans
 //! independent scenarios across N OS threads; output is byte-identical
 //! to `--jobs 1`.
 //! `--timing` reports per-artifact wall-clock on stderr. Throughput is
@@ -84,18 +84,19 @@
 //! (one record per scenario: typed failure kind, retry count, content
 //! fingerprint) instead of rendered artifact text.
 
-use hvx_core::Error;
-use hvx_engine::{FaultPlan, Watchdog};
+use hvx_core::{Error, HvKind, ScenarioSpec, Workload};
+use hvx_engine::FaultPlan;
 use hvx_serve::{client as serve_client, Server, ServerConfig};
 use hvx_suite::cache::ResultCache;
 use hvx_suite::diff;
-use hvx_suite::profile::{self, ProfileScenario};
+use hvx_suite::profile;
 use hvx_suite::runner::{self, ArtifactId, ChaosKind, RunnerConfig};
 use hvx_suite::service::{self, SuiteExecutor};
 use hvx_suite::spec_run;
-use hvx_suite::trace::{self, TraceScenario};
+use hvx_suite::trace;
 use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -129,14 +130,14 @@ struct BaselineArgs {
 }
 
 struct ProfileArgs {
-    scenarios: Vec<ProfileScenario>,
+    specs: Vec<ScenarioSpec>,
     jobs: usize,
     json_dir: Option<PathBuf>,
-    fault_plan: Option<FaultPlan>,
 }
 
 struct TraceRunArgs {
-    scenario: TraceScenario,
+    spec: ScenarioSpec,
+    ring: Option<usize>,
     out: Option<PathBuf>,
 }
 
@@ -253,7 +254,7 @@ enum ServeCmd {
 }
 
 enum Parsed {
-    Run(RunArgs),
+    Run(Box<RunArgs>),
     SpecRun { path: PathBuf, out_json: bool },
     Serve(ServeCmd),
     Profile(ProfileArgs),
@@ -266,24 +267,97 @@ enum Parsed {
     Help,
 }
 
+/// One subcommand's arguments. It remembers the flag it read last, so
+/// a missing or malformed value names that flag, and it owns the one
+/// "unexpected argument" error.
+struct Args {
+    cmd: String,
+    it: std::vec::IntoIter<String>,
+    flag: String,
+}
+
+impl Args {
+    fn new(cmd: &str, args: Vec<String>) -> Args {
+        Args {
+            cmd: cmd.to_string(),
+            it: args.into_iter(),
+            flag: String::new(),
+        }
+    }
+
+    /// The next argument, left in place.
+    fn peek(&self) -> Option<String> {
+        self.it.as_slice().first().cloned()
+    }
+
+    /// Consumes the next argument as the subcommand `sub` of this one.
+    fn sub(mut self, sub: &str) -> Args {
+        self.it.next();
+        self.cmd = format!("{} {sub}", self.cmd);
+        self
+    }
+
+    fn next(&mut self) -> Option<String> {
+        let arg = self.it.next()?;
+        self.flag.clone_from(&arg);
+        Some(arg)
+    }
+
+    /// The last flag's value; `what` names it in the error.
+    fn value(&mut self, what: &str) -> Result<String, String> {
+        self.it
+            .next()
+            .ok_or_else(|| format!("{} requires {what}", self.flag))
+    }
+
+    fn path(&mut self, what: &str) -> Result<PathBuf, String> {
+        self.value(what).map(PathBuf::from)
+    }
+
+    /// The last flag's value as an integer of at least `min`.
+    fn count<T: FromStr + PartialOrd + From<u8>>(&mut self, min: u8) -> Result<T, String> {
+        let n = self.value("a count")?;
+        n.parse::<T>()
+            .ok()
+            .filter(|v| *v >= T::from(min))
+            .ok_or_else(|| {
+                let bound = if min == 0 { "non-negative" } else { "positive" };
+                format!("{} needs a {bound} integer, got '{n}'", self.flag)
+            })
+    }
+
+    /// The last flag's value as finite seconds, above zero when
+    /// `positive` and at least zero otherwise.
+    fn secs(&mut self, positive: bool) -> Result<f64, String> {
+        let s = self.value("seconds")?;
+        s.parse::<f64>()
+            .ok()
+            .filter(|v| v.is_finite() && (*v > 0.0 || (!positive && *v == 0.0)))
+            .ok_or_else(|| {
+                let bound = if positive { "positive" } else { "non-negative" };
+                format!("{} needs {bound} seconds, got '{s}'", self.flag)
+            })
+    }
+
+    /// A mandatory value the loop did not see.
+    fn require<T>(&self, value: Option<T>, what: &str) -> Result<T, String> {
+        value.ok_or_else(|| format!("{} requires {what}", self.cmd))
+    }
+
+    /// `--help`/`-h` asks for the usage; anything else is unexpected.
+    fn reject(&self, arg: &str) -> Result<Parsed, String> {
+        match arg {
+            "--help" | "-h" => Ok(Parsed::Help),
+            _ => Err(format!(
+                "{}: unexpected argument '{arg}'; try --help",
+                self.cmd
+            )),
+        }
+    }
+}
+
 fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-fn parse_jobs(it: &mut impl Iterator<Item = String>) -> Result<usize, String> {
-    let n = it.next().ok_or("--jobs requires a count")?;
-    n.parse::<usize>()
-        .ok()
-        .filter(|n| *n >= 1)
-        .ok_or_else(|| format!("--jobs needs a positive integer, got '{n}'"))
-}
-
-fn parse_u64(flag: &str, it: &mut impl Iterator<Item = String>) -> Result<u64, String> {
-    let n = it
-        .next()
-        .ok_or_else(|| format!("{flag} requires a count"))?;
-    n.parse::<u64>()
-        .map_err(|_| format!("{flag} needs a non-negative integer, got '{n}'"))
 }
 
 fn build_fault_plan(spec: Option<&str>, seed: u64) -> Result<Option<FaultPlan>, String> {
@@ -291,216 +365,147 @@ fn build_fault_plan(spec: Option<&str>, seed: u64) -> Result<Option<FaultPlan>, 
         .transpose()
 }
 
+/// Adds the artifacts a positional `run`/`baseline`/`check` token names.
+fn select(requested: &mut Vec<ArtifactId>, token: &str) -> Result<(), String> {
+    match token {
+        "all" => requested.extend(ArtifactId::ALL),
+        _ => requested.push(
+            ArtifactId::parse(token)
+                .ok_or_else(|| format!("unknown artifact '{token}'; try --help"))?,
+        ),
+    }
+    Ok(())
+}
+
+/// The requested artifacts in their fixed print order (the `ALL`
+/// order), deduplicated: requests only select.
+fn print_order(requested: &[ArtifactId]) -> Vec<ArtifactId> {
+    ArtifactId::ALL
+        .into_iter()
+        .filter(|a| requested.contains(a))
+        .collect()
+}
+
 /// Parses the `run` subcommand's flags (also what a bare `hvx-repro`
 /// invocation gets: run everything with the defaults).
-fn parse_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
-    let mut json_dir = None;
+fn parse_run(mut a: Args) -> Result<Parsed, String> {
+    let mut args = RunArgs {
+        json_dir: None,
+        jobs: default_jobs(),
+        timing: false,
+        artifacts: Vec::new(),
+        cfg: RunnerConfig::default(),
+        keep_going: false,
+        cache_dir: None,
+        out_json: false,
+    };
     let mut spec = None;
-    let mut jobs = default_jobs();
-    let mut timing = false;
+    let mut fault_spec = None;
+    let mut fault_seed = 42;
     let mut requested = Vec::new();
-    let mut fault_spec: Option<String> = None;
-    let mut fault_seed = 42u64;
-    let mut keep_going = false;
-    let mut cycle_budget = None;
-    let mut livelock_limit = None;
-    let mut wall_timeout = None;
-    let mut chaos = Vec::new();
-    let mut cache_dir = None;
-    let mut out_json = false;
-    while let Some(arg) = it.next() {
+    while let Some(arg) = a.next() {
+        let cfg = &mut args.cfg;
         match arg.as_str() {
             "--out" => {
-                let mode = it.next().ok_or("--out requires 'json' or 'text'")?;
-                out_json = match mode.as_str() {
+                args.out_json = match a.value("'json' or 'text'")?.as_str() {
                     "json" => true,
                     "text" => false,
                     other => return Err(format!("--out needs 'json' or 'text', got '{other}'")),
-                };
+                }
             }
-            "--json" => {
-                let dir = it.next().ok_or("--json requires a directory")?;
-                json_dir = Some(PathBuf::from(dir));
-            }
-            "--cache" => {
-                let dir = it.next().ok_or("--cache requires a directory")?;
-                cache_dir = Some(PathBuf::from(dir));
-            }
-            "--spec" => {
-                let file = it.next().ok_or("--spec requires a spec file")?;
-                spec = Some(PathBuf::from(file));
-            }
-            "--jobs" => jobs = parse_jobs(it)?,
-            "--timing" => timing = true,
-            "--fault-plan" => {
-                let spec = it.next().ok_or("--fault-plan requires a spec")?;
-                fault_spec = Some(spec);
-            }
-            "--fault-seed" => fault_seed = parse_u64("--fault-seed", it)?,
-            "--keep-going" => keep_going = true,
-            "--cycle-budget" => cycle_budget = Some(parse_u64("--cycle-budget", it)?),
-            "--livelock-limit" => livelock_limit = Some(parse_u64("--livelock-limit", it)?),
-            "--wall-timeout" => {
-                let secs = it.next().ok_or("--wall-timeout requires seconds")?;
-                let secs = secs
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|s| s.is_finite() && *s >= 0.0)
-                    .ok_or_else(|| {
-                        format!("--wall-timeout needs non-negative seconds, got '{secs}'")
-                    })?;
-                wall_timeout = Some(Duration::from_secs_f64(secs));
-            }
+            "--json" => args.json_dir = Some(a.path("a directory")?),
+            "--cache" => args.cache_dir = Some(a.path("a directory")?),
+            "--spec" => spec = Some(a.path("a spec file")?),
+            "--jobs" => args.jobs = a.count(1)?,
+            "--timing" => args.timing = true,
+            "--fault-plan" => fault_spec = Some(a.value("a spec")?),
+            "--fault-seed" => fault_seed = a.count(0)?,
+            "--keep-going" => args.keep_going = true,
+            "--cycle-budget" => cfg.watchdog.cycle_budget = Some(a.count(0)?),
+            "--livelock-limit" => cfg.watchdog.livelock_threshold = Some(a.count(0)?),
+            "--wall-timeout" => cfg.wall_timeout = Some(Duration::from_secs_f64(a.secs(false)?)),
             "--chaos" => {
-                let kind = it.next().ok_or("--chaos requires a kind")?;
-                chaos.push(ChaosKind::parse(&kind).ok_or_else(|| {
+                let kind = a.value("a kind")?;
+                cfg.chaos.push(ChaosKind::parse(&kind).ok_or_else(|| {
                     format!("--chaos needs panic, spin, or livelock, got '{kind}'")
                 })?);
             }
             "--help" | "-h" => return Ok(Parsed::Help),
-            "all" => requested.extend(ArtifactId::ALL),
-            other => match ArtifactId::parse(other) {
-                Some(a) => requested.push(a),
-                None => return Err(format!("unknown artifact '{other}'; try --help")),
-            },
+            other => select(&mut requested, other)?,
         }
     }
     if let Some(path) = spec {
         // A spec file is the single source of truth for its scenario;
         // conflicting knobs are rejected, never silently dropped.
-        let mut extra = Vec::new();
-        if json_dir.is_some() {
-            extra.push("--json");
-        }
-        if timing {
-            extra.push("--timing");
-        }
-        if fault_spec.is_some() {
-            extra.push("--fault-plan");
-        }
-        if keep_going {
-            extra.push("--keep-going");
-        }
-        if cycle_budget.is_some() {
-            extra.push("--cycle-budget");
-        }
-        if livelock_limit.is_some() {
-            extra.push("--livelock-limit");
-        }
-        if wall_timeout.is_some() {
-            extra.push("--wall-timeout");
-        }
-        if !chaos.is_empty() {
-            extra.push("--chaos");
-        }
-        if cache_dir.is_some() {
-            extra.push("--cache");
-        }
-        if !requested.is_empty() {
-            extra.push("artifact names");
-        }
+        let cfg = &args.cfg;
+        let extra: Vec<&str> = [
+            (args.json_dir.is_some(), "--json"),
+            (args.timing, "--timing"),
+            (fault_spec.is_some(), "--fault-plan"),
+            (args.keep_going, "--keep-going"),
+            (cfg.watchdog.cycle_budget.is_some(), "--cycle-budget"),
+            (
+                cfg.watchdog.livelock_threshold.is_some(),
+                "--livelock-limit",
+            ),
+            (cfg.wall_timeout.is_some(), "--wall-timeout"),
+            (!cfg.chaos.is_empty(), "--chaos"),
+            (args.cache_dir.is_some(), "--cache"),
+            (!requested.is_empty(), "artifact names"),
+        ]
+        .into_iter()
+        .filter_map(|(set, name)| set.then_some(name))
+        .collect();
         if !extra.is_empty() {
             return Err(format!(
                 "--spec runs exactly the scenario the file describes; drop {}",
                 extra.join(", ")
             ));
         }
-        return Ok(Parsed::SpecRun { path, out_json });
+        return Ok(Parsed::SpecRun {
+            path,
+            out_json: args.out_json,
+        });
     }
     if requested.is_empty() {
         requested.extend(ArtifactId::ALL);
     }
-    // Print order is fixed (the ALL order); requests only select.
-    let artifacts: Vec<ArtifactId> = ArtifactId::ALL
-        .into_iter()
-        .filter(|a| requested.contains(a))
-        .collect();
-    let cfg = RunnerConfig {
-        fault_plan: build_fault_plan(fault_spec.as_deref(), fault_seed)?,
-        watchdog: Watchdog {
-            cycle_budget,
-            livelock_threshold: livelock_limit,
-        },
-        wall_timeout,
-        chaos,
-        cache: None,
-        retry: runner::RetryPolicy::default(),
-    };
-    Ok(Parsed::Run(RunArgs {
-        json_dir,
-        jobs,
-        timing,
-        artifacts,
-        cfg,
-        keep_going,
-        cache_dir,
-        out_json,
-    }))
+    args.artifacts = print_order(&requested);
+    args.cfg.fault_plan = build_fault_plan(fault_spec.as_deref(), fault_seed)?;
+    Ok(Parsed::Run(Box::new(args)))
 }
 
 /// Parses the `serve` subcommand family: bare `serve` starts the
-/// server; `serve submit|sweep|poll|stats|drain|bench` are clients.
-fn parse_serve(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
-    let mut it = it.peekable();
-    match it.peek().map(String::as_str) {
-        Some("submit") => {
-            it.next();
-            parse_serve_submit(&mut it)
-        }
-        Some("sweep") => {
-            it.next();
-            parse_serve_sweep(&mut it)
-        }
-        Some("poll") => {
-            it.next();
-            parse_serve_poll(&mut it)
-        }
-        Some("stats") => {
-            it.next();
-            Ok(Parsed::Serve(ServeCmd::Stats {
-                addr: parse_addr_only(&mut it, "serve stats")?,
-            }))
-        }
-        Some("metrics") => {
-            it.next();
-            Ok(Parsed::Serve(ServeCmd::Metrics {
-                addr: parse_addr_only(&mut it, "serve metrics")?,
-            }))
-        }
-        Some("trace") => {
-            it.next();
-            parse_serve_trace(&mut it)
-        }
-        Some("drain") => {
-            it.next();
-            Ok(Parsed::Serve(ServeCmd::Drain {
-                addr: parse_addr_only(&mut it, "serve drain")?,
-            }))
-        }
-        Some("bench") => {
-            it.next();
+/// server; `serve submit|sweep|poll|stats|metrics|trace|drain|bench`
+/// are clients.
+fn parse_serve(a: Args) -> Result<Parsed, String> {
+    let Some(sub) = a.peek() else {
+        return parse_serve_run(a);
+    };
+    match sub.as_str() {
+        "submit" => parse_serve_submit(a.sub(&sub)),
+        "sweep" => parse_serve_sweep(a.sub(&sub)),
+        "poll" => parse_serve_poll(a.sub(&sub)),
+        "trace" => parse_serve_trace(a.sub(&sub)),
+        "stats" => parse_addr_only(a.sub(&sub), |addr| ServeCmd::Stats { addr }),
+        "metrics" => parse_addr_only(a.sub(&sub), |addr| ServeCmd::Metrics { addr }),
+        "drain" => parse_addr_only(a.sub(&sub), |addr| ServeCmd::Drain { addr }),
+        "bench" => {
+            let mut a = a.sub(&sub);
             let mut out = PathBuf::from("BENCH_serve.json");
-            while let Some(arg) = it.next() {
+            while let Some(arg) = a.next() {
                 match arg.as_str() {
-                    "--out" => {
-                        let file = it.next().ok_or("--out requires an output file")?;
-                        out = PathBuf::from(file);
-                    }
-                    "--help" | "-h" => return Ok(Parsed::Help),
-                    other => {
-                        return Err(format!(
-                            "serve bench: unexpected argument '{other}'; try --help"
-                        ))
-                    }
+                    "--out" => out = a.path("an output file")?,
+                    other => return a.reject(other),
                 }
             }
             Ok(Parsed::Serve(ServeCmd::Bench { out }))
         }
-        _ => parse_serve_run(&mut it),
+        _ => parse_serve_run(a),
     }
 }
 
-fn parse_serve_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
+fn parse_serve_run(mut a: Args) -> Result<Parsed, String> {
     let mut args = ServeArgs {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -511,173 +516,103 @@ fn parse_serve_run(it: &mut impl Iterator<Item = String>) -> Result<Parsed, Stri
         max_results: 256,
         retries: 2,
     };
-    while let Some(arg) = it.next() {
+    while let Some(arg) = a.next() {
         match arg.as_str() {
-            "--addr" => args.addr = it.next().ok_or("--addr requires HOST:PORT")?,
-            "--workers" => args.workers = parse_jobs(it)?,
-            "--cache" => {
-                let dir = it.next().ok_or("--cache requires a directory")?;
-                args.cache_dir = Some(PathBuf::from(dir));
-            }
-            "--journal" => {
-                let file = it.next().ok_or("--journal requires a file")?;
-                args.journal = Some(PathBuf::from(file));
-            }
+            "--addr" => args.addr = a.value("HOST:PORT")?,
+            "--workers" => args.workers = a.count(1)?,
+            "--cache" => args.cache_dir = Some(a.path("a directory")?),
+            "--journal" => args.journal = Some(a.path("a file")?),
             "--no-journal" => args.journal = None,
-            "--max-queue-weight" => {
-                args.max_queue_weight = parse_u64("--max-queue-weight", it)?;
-            }
-            "--client-cap" => {
-                args.client_cap = usize::try_from(parse_u64("--client-cap", it)?)
-                    .map_err(|_| "--client-cap out of range".to_string())?;
-            }
-            "--max-results" => {
-                args.max_results = usize::try_from(parse_u64("--max-results", it)?)
-                    .map_err(|_| "--max-results out of range".to_string())?;
-            }
-            "--retries" => {
-                args.retries = u32::try_from(parse_u64("--retries", it)?)
-                    .map_err(|_| "--retries out of range".to_string())?;
-            }
-            "--help" | "-h" => return Ok(Parsed::Help),
-            other => return Err(format!("serve: unexpected argument '{other}'; try --help")),
+            "--max-queue-weight" => args.max_queue_weight = a.count(0)?,
+            "--client-cap" => args.client_cap = a.count(0)?,
+            "--max-results" => args.max_results = a.count(0)?,
+            "--retries" => args.retries = a.count(0)?,
+            other => return a.reject(other),
         }
     }
     Ok(Parsed::Serve(ServeCmd::Run(args)))
 }
 
-fn parse_addr_only(it: &mut impl Iterator<Item = String>, what: &str) -> Result<String, String> {
+fn parse_addr_only(mut a: Args, wrap: fn(String) -> ServeCmd) -> Result<Parsed, String> {
     let mut addr = None;
-    while let Some(arg) = it.next() {
+    while let Some(arg) = a.next() {
         match arg.as_str() {
-            "--addr" => addr = Some(it.next().ok_or("--addr requires HOST:PORT")?),
-            other => return Err(format!("{what}: unexpected argument '{other}'; try --help")),
+            "--addr" => addr = Some(a.value("HOST:PORT")?),
+            other => return a.reject(other),
         }
     }
-    addr.ok_or_else(|| format!("{what} requires --addr HOST:PORT"))
+    Ok(Parsed::Serve(wrap(a.require(addr, "--addr HOST:PORT")?)))
 }
 
-fn parse_serve_submit(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
-    let mut addr = None;
-    let mut client = "cli".to_string();
-    let mut source = None;
-    let mut wait_secs = None;
-    while let Some(arg) = it.next() {
+fn parse_serve_submit(mut a: Args) -> Result<Parsed, String> {
+    let (mut addr, mut client, mut source, mut wait_secs) = (None, "cli".to_string(), None, None);
+    while let Some(arg) = a.next() {
         match arg.as_str() {
-            "--addr" => addr = Some(it.next().ok_or("--addr requires HOST:PORT")?),
-            "--client" => client = it.next().ok_or("--client requires a name")?,
-            "--spec" => {
-                let file = it.next().ok_or("--spec requires a spec file")?;
-                source = Some(SubmitSource::Spec(PathBuf::from(file)));
-            }
-            "--chaos" => {
-                let kind = it.next().ok_or("--chaos requires a kind")?;
-                source = Some(SubmitSource::Chaos(kind));
-            }
-            "--wait" => {
-                let secs = it.next().ok_or("--wait requires seconds")?;
-                wait_secs = Some(
-                    secs.parse::<f64>()
-                        .ok()
-                        .filter(|s| *s > 0.0)
-                        .ok_or_else(|| format!("--wait needs positive seconds, got '{secs}'"))?,
-                );
-            }
-            "--help" | "-h" => return Ok(Parsed::Help),
-            other => {
-                return Err(format!(
-                    "serve submit: unexpected argument '{other}'; try --help"
-                ))
-            }
+            "--addr" => addr = Some(a.value("HOST:PORT")?),
+            "--client" => client = a.value("a name")?,
+            "--spec" => source = Some(SubmitSource::Spec(a.path("a spec file")?)),
+            "--chaos" => source = Some(SubmitSource::Chaos(a.value("a kind")?)),
+            "--wait" => wait_secs = Some(a.secs(true)?),
+            other => return a.reject(other),
         }
     }
     Ok(Parsed::Serve(ServeCmd::Submit {
-        addr: addr.ok_or("serve submit requires --addr HOST:PORT")?,
+        addr: a.require(addr, "--addr HOST:PORT")?,
         client,
-        source: source.ok_or("serve submit requires --spec FILE or --chaos KIND")?,
+        source: a.require(source, "--spec FILE or --chaos KIND")?,
         wait_secs,
     }))
 }
 
-fn parse_serve_sweep(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
-    let mut addr = None;
-    let mut client = "cli".to_string();
-    let mut template = None;
-    while let Some(arg) = it.next() {
+fn parse_serve_sweep(mut a: Args) -> Result<Parsed, String> {
+    let (mut addr, mut client, mut template) = (None, "cli".to_string(), None);
+    while let Some(arg) = a.next() {
         match arg.as_str() {
-            "--addr" => addr = Some(it.next().ok_or("--addr requires HOST:PORT")?),
-            "--client" => client = it.next().ok_or("--client requires a name")?,
-            "--template" => {
-                let file = it.next().ok_or("--template requires a file")?;
-                template = Some(PathBuf::from(file));
-            }
-            "--help" | "-h" => return Ok(Parsed::Help),
-            other => {
-                return Err(format!(
-                    "serve sweep: unexpected argument '{other}'; try --help"
-                ))
-            }
+            "--addr" => addr = Some(a.value("HOST:PORT")?),
+            "--client" => client = a.value("a name")?,
+            "--template" => template = Some(a.path("a file")?),
+            other => return a.reject(other),
         }
     }
     Ok(Parsed::Serve(ServeCmd::Sweep {
-        addr: addr.ok_or("serve sweep requires --addr HOST:PORT")?,
+        addr: a.require(addr, "--addr HOST:PORT")?,
         client,
-        template: template.ok_or("serve sweep requires --template FILE")?,
+        template: a.require(template, "--template FILE")?,
     }))
 }
 
-fn parse_serve_poll(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
-    let mut addr = None;
-    let mut job = None;
-    while let Some(arg) = it.next() {
+fn parse_serve_poll(mut a: Args) -> Result<Parsed, String> {
+    let (mut addr, mut job) = (None, None);
+    while let Some(arg) = a.next() {
         match arg.as_str() {
-            "--addr" => addr = Some(it.next().ok_or("--addr requires HOST:PORT")?),
-            "--help" | "-h" => return Ok(Parsed::Help),
+            "--addr" => addr = Some(a.value("HOST:PORT")?),
             other => match other.parse::<u64>() {
                 Ok(id) => job = Some(id),
-                Err(_) => {
-                    return Err(format!(
-                        "serve poll: expected a job id, got '{other}'; try --help"
-                    ))
-                }
+                Err(_) => return a.reject(other),
             },
         }
     }
     Ok(Parsed::Serve(ServeCmd::Poll {
-        addr: addr.ok_or("serve poll requires --addr HOST:PORT")?,
-        job: job.ok_or("serve poll requires a job id")?,
+        addr: a.require(addr, "--addr HOST:PORT")?,
+        job: a.require(job, "a job id")?,
     }))
 }
 
-fn parse_serve_trace(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
-    let mut addr = None;
-    let mut fingerprint = None;
-    let mut top = 5usize;
-    while let Some(arg) = it.next() {
+fn parse_serve_trace(mut a: Args) -> Result<Parsed, String> {
+    let (mut addr, mut fingerprint, mut top) = (None, None, 5);
+    while let Some(arg) = a.next() {
         match arg.as_str() {
-            "--addr" => addr = Some(it.next().ok_or("--addr requires HOST:PORT")?),
-            "--top" => {
-                let n = it.next().ok_or("--top requires a count")?;
-                top = n
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .ok_or(format!("--top expects a positive integer, got '{n}'"))?;
-            }
-            "--help" | "-h" => return Ok(Parsed::Help),
+            "--addr" => addr = Some(a.value("HOST:PORT")?),
+            "--top" => top = a.count(1)?,
             other if !other.starts_with('-') && fingerprint.is_none() => {
                 fingerprint = Some(other.to_string());
             }
-            other => {
-                return Err(format!(
-                    "serve trace: unexpected argument '{other}'; try --help"
-                ))
-            }
+            other => return a.reject(other),
         }
     }
     Ok(Parsed::Serve(ServeCmd::TraceQuery {
-        addr: addr.ok_or("serve trace requires --addr HOST:PORT")?,
-        fingerprint: fingerprint.ok_or("serve trace requires a scenario fingerprint")?,
+        addr: a.require(addr, "--addr HOST:PORT")?,
+        fingerprint: a.require(fingerprint, "a scenario fingerprint")?,
         top,
     }))
 }
@@ -685,195 +620,133 @@ fn parse_serve_trace(it: &mut impl Iterator<Item = String>) -> Result<Parsed, St
 /// Parses `baseline write` / `check` arguments. `dir_flag` is the flag
 /// that names the baseline directory (`--dir` resp. `--baseline`).
 fn parse_baseline(
-    it: &mut impl Iterator<Item = String>,
+    mut a: Args,
     dir_flag: &str,
     wrap: fn(BaselineArgs) -> Parsed,
 ) -> Result<Parsed, String> {
-    let mut dir = PathBuf::from(diff::DEFAULT_DIR);
-    let mut jobs = default_jobs();
-    let mut cache_dir = None;
+    let mut args = BaselineArgs {
+        dir: PathBuf::from(diff::DEFAULT_DIR),
+        artifacts: Vec::new(),
+        jobs: default_jobs(),
+        cache_dir: None,
+    };
     let mut requested = Vec::new();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = a.next() {
         match arg.as_str() {
-            flag if flag == dir_flag => {
-                let d = it
-                    .next()
-                    .ok_or_else(|| format!("{dir_flag} requires a directory"))?;
-                dir = PathBuf::from(d);
-            }
-            "--jobs" => jobs = parse_jobs(it)?,
-            "--cache" => {
-                let d = it.next().ok_or("--cache requires a directory")?;
-                cache_dir = Some(PathBuf::from(d));
-            }
+            flag if flag == dir_flag => args.dir = a.path("a directory")?,
+            "--jobs" => args.jobs = a.count(1)?,
+            "--cache" => args.cache_dir = Some(a.path("a directory")?),
             "--help" | "-h" => return Ok(Parsed::Help),
-            "all" => requested.extend(ArtifactId::ALL),
-            other => match ArtifactId::parse(other) {
-                Some(a) => requested.push(a),
-                None => return Err(format!("unknown artifact '{other}'; try --help")),
-            },
+            other => select(&mut requested, other)?,
         }
     }
-    let artifacts: Vec<ArtifactId> = ArtifactId::ALL
-        .into_iter()
-        .filter(|a| requested.contains(a))
-        .collect();
-    Ok(wrap(BaselineArgs {
-        dir,
-        artifacts,
-        jobs,
-        cache_dir,
-    }))
+    args.artifacts = print_order(&requested);
+    Ok(wrap(args))
 }
 
-fn parse_profile(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
-    let mut scenarios = Vec::new();
-    let mut jobs = default_jobs();
-    let mut json_dir = None;
-    let mut fault_spec: Option<String> = None;
-    let mut fault_seed = 42u64;
-    while let Some(arg) = it.next() {
+/// Parses `profile`: each `--scenario` names a paper-shape spec, and
+/// `--fault-plan`/`--fault-seed` set the fault plan of every one.
+fn parse_profile(mut a: Args) -> Result<Parsed, String> {
+    let mut specs = Vec::new();
+    let (mut jobs, mut json_dir, mut fault_spec, mut fault_seed) = (default_jobs(), None, None, 42);
+    while let Some(arg) = a.next() {
         match arg.as_str() {
             "--scenario" => {
-                let name = it.next().ok_or("--scenario requires a name")?;
-                scenarios.push(ProfileScenario::parse(&name).map_err(|e| e.to_string())?);
+                let name = a.value("a name")?;
+                specs.push(spec_run::paper_spec(&name).map_err(|e| e.to_string())?);
             }
-            "--jobs" => jobs = parse_jobs(it)?,
-            "--json" => {
-                let dir = it.next().ok_or("--json requires a directory")?;
-                json_dir = Some(PathBuf::from(dir));
-            }
-            "--fault-plan" => {
-                let spec = it.next().ok_or("--fault-plan requires a spec")?;
-                fault_spec = Some(spec);
-            }
-            "--fault-seed" => fault_seed = parse_u64("--fault-seed", it)?,
-            "--help" | "-h" => return Ok(Parsed::Help),
-            other => {
-                return Err(format!(
-                    "profile: unexpected argument '{other}'; try --help"
-                ))
-            }
+            "--jobs" => jobs = a.count(1)?,
+            "--json" => json_dir = Some(a.path("a directory")?),
+            "--fault-plan" => fault_spec = Some(a.value("a spec")?),
+            "--fault-seed" => fault_seed = a.count(0)?,
+            other => return a.reject(other),
         }
     }
-    if scenarios.is_empty() {
-        scenarios = ProfileScenario::default_set();
+    if specs.is_empty() {
+        specs = profile::default_set();
+    }
+    if let Some(plan) = build_fault_plan(fault_spec.as_deref(), fault_seed)? {
+        for spec in &mut specs {
+            spec.set_fault_plan(&plan);
+        }
     }
     Ok(Parsed::Profile(ProfileArgs {
-        scenarios,
+        specs,
         jobs,
         json_dir,
-        fault_plan: build_fault_plan(fault_spec.as_deref(), fault_seed)?,
     }))
 }
 
 /// Parses the `trace` subcommand family: `trace <scenario> ...`,
 /// `trace query FILE ...`, `trace bench ...`.
-fn parse_trace(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
-    let Some(first) = it.next() else {
-        return Ok(Parsed::Help);
-    };
-    match first.as_str() {
-        "query" => parse_trace_query(it),
-        "bench" => parse_trace_bench(it),
-        "--help" | "-h" => Ok(Parsed::Help),
-        _ => parse_trace_run(first, it),
-    }
-}
-
-fn parse_ring(it: &mut impl Iterator<Item = String>) -> Result<usize, String> {
-    let n = parse_u64("--ring", it)?;
-    usize::try_from(n)
-        .ok()
-        .filter(|n| *n >= 1)
-        .ok_or_else(|| format!("--ring needs a positive slot count, got '{n}'"))
-}
-
-fn parse_trace_run(
-    scenario: String,
-    it: &mut impl Iterator<Item = String>,
-) -> Result<Parsed, String> {
-    let mut hypervisor = None;
-    let mut out = None;
-    let mut ring = None;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--hypervisor" => {
-                hypervisor = Some(it.next().ok_or("--hypervisor requires a name")?);
+fn parse_trace(mut a: Args) -> Result<Parsed, String> {
+    match a.peek().as_deref() {
+        None | Some("--help" | "-h") => Ok(Parsed::Help),
+        Some("query") => parse_trace_query(a.sub("query")),
+        Some("bench") => {
+            let mut a = a.sub("bench");
+            let (mut out, mut ring) = (PathBuf::from("BENCH_trace.json"), 4096);
+            while let Some(arg) = a.next() {
+                match arg.as_str() {
+                    "--out" => out = a.path("an output file")?,
+                    "--ring" => ring = a.count(1)?,
+                    other => return a.reject(other),
+                }
             }
-            "--out" => {
-                let file = it.next().ok_or("--out requires an output file")?;
-                out = Some(PathBuf::from(file));
-            }
-            "--ring" => ring = Some(parse_ring(it)?),
-            "--help" | "-h" => return Ok(Parsed::Help),
-            other => return Err(format!("trace: unexpected argument '{other}'; try --help")),
+            Ok(Parsed::TraceBench { out, ring })
+        }
+        Some(_) => {
+            let scenario = a.next().expect("peeked an argument");
+            parse_trace_run(&scenario, a)
         }
     }
-    let scenario = TraceScenario::resolve(&scenario, hypervisor.as_deref(), ring)
-        .map_err(|e| format!("trace: {e}"))?;
-    Ok(Parsed::TraceRun(TraceRunArgs { scenario, out }))
 }
 
-fn parse_trace_query(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
-    let mut file = None;
-    let mut query = trace::Query::default();
-    let mut validate = false;
-    while let Some(arg) = it.next() {
+/// Parses `trace <scenario>`: a `<workload>-<hypervisor>` name, or a
+/// workload with `--hypervisor`, straight into a paper-shape spec.
+fn parse_trace_run(scenario: &str, mut a: Args) -> Result<Parsed, String> {
+    let (mut hypervisor, mut out, mut ring) = (None, None, None);
+    while let Some(arg) = a.next() {
         match arg.as_str() {
-            "--transition" => {
-                query.transition = Some(it.next().ok_or("--transition requires a name")?);
-            }
-            "--track" => query.track = Some(it.next().ok_or("--track requires a track name")?),
-            "--from" => query.from = Some(parse_u64("--from", it)?),
-            "--to" => query.to = Some(parse_u64("--to", it)?),
-            "--top" => {
-                let n = parse_u64("--top", it)?;
-                query.top = usize::try_from(n)
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .map(Some)
-                    .ok_or_else(|| format!("--top needs a positive count, got '{n}'"))?;
-            }
+            "--hypervisor" => hypervisor = Some(a.value("a name")?),
+            "--out" => out = Some(a.path("an output file")?),
+            "--ring" => ring = Some(a.count(1)?),
+            other => return a.reject(other),
+        }
+    }
+    let spec = match hypervisor {
+        Some(slug) => HvKind::parse(&slug)
+            .ok_or(Error::UnknownScenario { name: slug })
+            .and_then(|kind| {
+                Ok(ScenarioSpec::paper(kind).with_workload(Workload::parse(scenario)?))
+            }),
+        None => spec_run::paper_spec(scenario),
+    }
+    .map_err(|e| format!("trace: {e}"))?;
+    Ok(Parsed::TraceRun(TraceRunArgs { spec, ring, out }))
+}
+
+fn parse_trace_query(mut a: Args) -> Result<Parsed, String> {
+    let (mut file, mut query, mut validate) = (None, trace::Query::default(), false);
+    while let Some(arg) = a.next() {
+        match arg.as_str() {
+            "--transition" => query.transition = Some(a.value("a name")?),
+            "--track" => query.track = Some(a.value("a track name")?),
+            "--from" => query.from = Some(a.count(0)?),
+            "--to" => query.to = Some(a.count(0)?),
+            "--top" => query.top = Some(a.count(1)?),
             "--validate" => validate = true,
-            "--help" | "-h" => return Ok(Parsed::Help),
             other if file.is_none() && !other.starts_with('-') => {
                 file = Some(PathBuf::from(other));
             }
-            other => {
-                return Err(format!(
-                    "trace query: unexpected argument '{other}'; try --help"
-                ))
-            }
+            other => return a.reject(other),
         }
     }
-    let file = file.ok_or("trace query requires a trace file")?;
     Ok(Parsed::TraceQuery(TraceQueryArgs {
-        file,
+        file: a.require(file, "a trace file")?,
         query,
         validate,
     }))
-}
-
-fn parse_trace_bench(it: &mut impl Iterator<Item = String>) -> Result<Parsed, String> {
-    let mut out = PathBuf::from("BENCH_trace.json");
-    let mut ring = 4096usize;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                let file = it.next().ok_or("--out requires an output file")?;
-                out = PathBuf::from(file);
-            }
-            "--ring" => ring = parse_ring(it)?,
-            "--help" | "-h" => return Ok(Parsed::Help),
-            other => {
-                return Err(format!(
-                    "trace bench: unexpected argument '{other}'; try --help"
-                ))
-            }
-        }
-    }
-    Ok(Parsed::TraceBench { out, ring })
 }
 
 /// What `hvx-repro bench` prints: the benchmark moved to `perfbench`.
@@ -899,54 +772,34 @@ fn parse_args() -> Result<Parsed, String> {
         hvx_obs::log::set_level(lv);
         args.drain(pos..pos + 2);
     }
-    let mut it = args.into_iter().peekable();
-    match it.peek().map(String::as_str) {
-        Some("run") => {
-            it.next();
-            parse_run(&mut it)
-        }
-        Some("bench") => Err(BENCH_RETIRED.to_string()),
-        Some("profile") => {
-            it.next();
-            parse_profile(&mut it)
-        }
-        Some("trace") => {
-            it.next();
-            parse_trace(&mut it)
-        }
-        Some("serve") => {
-            it.next();
-            parse_serve(&mut it)
-        }
-        Some("baseline") => {
-            it.next();
-            match it.next().as_deref() {
-                Some("write") => parse_baseline(&mut it, "--dir", Parsed::BaselineWrite),
-                Some("--help" | "-h") | None => Ok(Parsed::Help),
-                Some(other) => Err(format!(
-                    "baseline: unknown subcommand '{other}' (expected 'write'); try --help"
-                )),
-            }
-        }
-        Some("check") => {
-            it.next();
-            parse_baseline(&mut it, "--baseline", Parsed::Check)
-        }
-        Some("list-scenarios") => {
-            it.next();
-            match it.next() {
-                None => Ok(Parsed::ListScenarios),
-                Some(other) => Err(format!(
-                    "list-scenarios: unexpected argument '{other}'; try --help"
-                )),
-            }
-        }
-        Some("--help" | "-h") => Ok(Parsed::Help),
-        // Bare `hvx-repro` still reproduces everything; the historical
-        // pre-subcommand spelling (artifact names or flags as the first
-        // token) is retired and points at the `run` equivalent.
-        None => parse_run(&mut it),
-        Some(other) => Err(format!(
+    let Some(cmd) = args.first().cloned() else {
+        // Bare `hvx-repro` still reproduces everything.
+        return parse_run(Args::new("run", args));
+    };
+    let mut a = Args::new(&cmd, args.split_off(1));
+    match cmd.as_str() {
+        "run" => parse_run(a),
+        "bench" => Err(BENCH_RETIRED.to_string()),
+        "profile" => parse_profile(a),
+        "trace" => parse_trace(a),
+        "serve" => parse_serve(a),
+        "baseline" => match a.peek().as_deref() {
+            Some("write") => parse_baseline(a.sub("write"), "--dir", Parsed::BaselineWrite),
+            Some("--help" | "-h") | None => Ok(Parsed::Help),
+            Some(other) => Err(format!(
+                "baseline: unknown subcommand '{other}' (expected 'write'); try --help"
+            )),
+        },
+        "check" => parse_baseline(a, "--baseline", Parsed::Check),
+        "list-scenarios" => match a.next() {
+            None => Ok(Parsed::ListScenarios),
+            Some(other) => a.reject(&other),
+        },
+        "--help" | "-h" => Ok(Parsed::Help),
+        // The historical pre-subcommand spelling (artifact names or
+        // flags as the first token) is retired and points at the `run`
+        // equivalent.
+        other => Err(format!(
             "the no-subcommand interface has been retired; \
              use 'hvx-repro run {other} ...' instead (try --help)"
         )),
@@ -1115,16 +968,15 @@ fn run(args: &RunArgs) -> Result<(), Error> {
 /// describes, print its report — as text, or (`--out json`) as the
 /// structured `{report, cell}` record.
 fn run_spec_file(path: &Path, out_json: bool) -> Result<(), Error> {
-    let spec = spec_run::load(path)?;
+    let run = spec_run::run_spec_report(&spec_run::load(path)?)?;
     if out_json {
-        let run = spec_run::run_spec_report(&spec)?;
         let v = Value::Object(vec![
             ("report".into(), Value::Str(run.report)),
             ("cell".into(), Serialize::serialize(&run.cell)),
         ]);
         println!("{}", pretty(&v)?);
     } else {
-        print!("{}", spec_run::run_spec(&spec)?);
+        print!("{}", run.report);
     }
     Ok(())
 }
@@ -1279,7 +1131,7 @@ fn serve_cmd(cmd: &ServeCmd) -> Result<(), Error> {
 }
 
 fn run_profile(args: &ProfileArgs) -> Result<(), Error> {
-    let reports = profile::run_profiles_with(&args.scenarios, args.jobs, args.fault_plan.as_ref())?;
+    let reports = profile::run_profiles(&args.specs, args.jobs)?;
     print!("{}", profile::render_profiles(&reports));
     if let Some(dir) = &args.json_dir {
         std::fs::create_dir_all(dir)?;
@@ -1297,7 +1149,7 @@ fn run_profile(args: &ProfileArgs) -> Result<(), Error> {
 }
 
 fn trace_run(args: &TraceRunArgs) -> Result<(), Error> {
-    let report = trace::run_trace(args.scenario)?;
+    let report = trace::run_trace(&args.spec, args.ring)?;
     print!("{}", report.render());
     let path = args
         .out
@@ -1349,14 +1201,16 @@ fn list_scenarios() {
     }
     println!("\nprofile scenarios (profile --scenario NAME):");
     println!("  default set:");
-    for s in ProfileScenario::default_set() {
-        println!("    {}", s.name());
+    for spec in profile::default_set() {
+        println!("    {}", spec_run::paper_name(&spec));
     }
     println!("  (trace SCENARIO accepts the same names, or <workload> --hypervisor <hv>)");
     println!("  any <workload>-<hypervisor> combination, e.g. mysql-xen-arm;");
-    println!("  workloads: kernbench hackbench specjvm2008 netperf tcp_rr");
-    println!("             tcp_stream tcp_maerts apache memcached mysql");
-    println!("  hypervisors: kvm-arm xen-arm kvm-x86 xen-x86 kvm-arm-vhe native");
+    let workloads: Vec<&str> = Workload::SLUGS.iter().map(|(_, slug)| *slug).collect();
+    println!("  workloads: {}", workloads[..5].join(" "));
+    println!("             {}", workloads[5..].join(" "));
+    let kinds: Vec<&str> = HvKind::ALL.iter().map(|k| k.slug()).collect();
+    println!("  hypervisors: {}", kinds.join(" "));
 }
 
 fn main() {

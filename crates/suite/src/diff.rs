@@ -23,10 +23,9 @@
 //! [`SCHEMA_VERSION`]: crate::cache::SCHEMA_VERSION
 
 use crate::cache::{scenario_fingerprint, ResultCache, SCHEMA_VERSION};
-use crate::profile::{self, ProfileScenario};
 use crate::runner::{self, ArtifactId, RunnerConfig};
-use crate::{fig4, paper};
-use hvx_core::{Error, HvKind};
+use crate::{fig4, paper, profile, spec_run};
+use hvx_core::{Error, HvKind, ScenarioSpec};
 use hvx_engine::ProfileSnapshot;
 use serde::{Deserialize, Value};
 use std::path::{Path, PathBuf};
@@ -59,7 +58,7 @@ fn runner_config(cache: Option<Arc<ResultCache>>) -> RunnerConfig {
 
 /// The Figure 4 cells that get a span profile in the baseline: every
 /// (workload, measured column) pair the paper can run.
-fn span_profile_cells() -> Vec<ProfileScenario> {
+fn span_profile_cells() -> Vec<ScenarioSpec> {
     let mut out = Vec::new();
     for workload in hvx_core::Workload::ALL {
         for kind in paper::COLUMNS {
@@ -68,7 +67,7 @@ fn span_profile_cells() -> Vec<ProfileScenario> {
             if workload.catalog_name() == "Apache" && kind == HvKind::XenX86 {
                 continue;
             }
-            out.push(ProfileScenario { workload, kind });
+            out.push(ScenarioSpec::paper(kind).with_workload(workload));
         }
     }
     out
@@ -85,8 +84,9 @@ fn artifact_paths(dir: &Path, id: ArtifactId) -> (PathBuf, PathBuf) {
     )
 }
 
-fn span_path(dir: &Path, scenario: &ProfileScenario) -> PathBuf {
-    dir.join("spans").join(format!("{}.json", scenario.name()))
+fn span_path(dir: &Path, spec: &ScenarioSpec) -> PathBuf {
+    dir.join("spans")
+        .join(format!("{}.json", spec_run::paper_name(spec)))
 }
 
 /// The parsed `manifest.json` of a baseline directory.
@@ -236,7 +236,7 @@ pub fn write_baseline(
             baseline_err(format!("directory {}", spans_dir.display()), e.to_string())
         })?;
         for cell in span_profile_cells() {
-            let report = profile::run_profile(cell)?;
+            let report = profile::run_profile(&cell)?;
             let data =
                 serde_json::to_string_pretty(&report.snapshot).map_err(|e| Error::Serialize {
                     what: "span profile",
@@ -351,17 +351,14 @@ fn fig4_drilldown(dir: &Path, baseline_json: &str, current_json: &str) -> String
         if i >= MAX_SPAN_DRILLDOWNS {
             continue;
         }
-        let Some(scenario) = hvx_core::Workload::ALL
+        let Some(spec) = hvx_core::Workload::ALL
             .into_iter()
             .find(|w| w.catalog_name() == *workload)
-            .map(|w| ProfileScenario {
-                workload: w,
-                kind: *kind,
-            })
+            .map(|w| ScenarioSpec::paper(*kind).with_workload(w))
         else {
             continue;
         };
-        let path = span_path(dir, &scenario);
+        let path = span_path(dir, &spec);
         let stored: Option<ProfileSnapshot> = std::fs::read_to_string(&path)
             .ok()
             .and_then(|t| serde_json::from_str(&t).ok());
@@ -369,7 +366,7 @@ fn fig4_drilldown(dir: &Path, baseline_json: &str, current_json: &str) -> String
             out.push_str("    (no stored span profile for this cell)\n");
             continue;
         };
-        match profile::run_profile(scenario) {
+        match profile::run_profile(&spec) {
             Ok(report) => {
                 let deltas = hvx_engine::span_deltas(&stored, &report.snapshot);
                 if deltas.is_empty() {

@@ -719,18 +719,49 @@ pub fn run_scenarios_with(
 /// short-circuit: always spawns up to `jobs` threads. Tests target this
 /// directly so small plans still exercise the pool machinery.
 fn run_scenarios_pooled(plan: &[Scenario], jobs: usize, cfg: &RunnerConfig) -> Vec<ScenarioResult> {
+    fan_out(plan, jobs, |s| s.weight(), |s| run_one(*s, cfg))
+        .into_iter()
+        .zip(plan)
+        .map(|(result, &scenario)| {
+            result.unwrap_or_else(|| ScenarioResult {
+                scenario,
+                outcome: Err(ScenarioFailure {
+                    kind: ScenarioFailureKind::Panicked,
+                    detail: "worker thread died before recording a result".to_string(),
+                }),
+                wall: Duration::ZERO,
+                transitions: 0,
+                retries: 0,
+                fingerprint: None,
+                cached: false,
+            })
+        })
+        .collect()
+}
+
+/// The runner's work-stealing pool: runs `work` on every item across up
+/// to `jobs` scoped threads, heaviest `weight` first (FIFO among equal
+/// weights), and returns the results **in item order** whatever the
+/// completion order. A slot is `None` only if its worker died before
+/// recording a result.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    jobs: usize,
+    weight: impl Fn(&T) -> u64,
+    work: impl Fn(&T) -> R + Sync,
+) -> Vec<Option<R>> {
     // The work queue is the engine's own EventQueue: it pops the smallest
     // (when, seq) key, so scheduling at `MAX - weight` makes heavier
-    // scenarios come out first, FIFO among equals.
-    let mut queue = EventQueue::with_capacity(plan.len());
-    for (idx, s) in plan.iter().enumerate() {
-        queue.schedule(Cycles::new(u64::MAX - s.weight()), idx);
+    // items come out first, FIFO among equals.
+    let mut queue = EventQueue::with_capacity(items.len());
+    for (idx, item) in items.iter().enumerate() {
+        queue.schedule(Cycles::new(u64::MAX - weight(item)), idx);
     }
     let queue = Mutex::new(queue);
-    let slots: Vec<Mutex<Option<ScenarioResult>>> = plan.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
-        for _ in 0..jobs.min(plan.len()) {
+        for _ in 0..jobs.min(items.len()) {
             scope.spawn(|| loop {
                 // Scenario panics are caught inside run_one, but a
                 // poisoned lock (from a defect in the runner itself)
@@ -739,7 +770,7 @@ fn run_scenarios_pooled(plan: &[Scenario], jobs: usize, cfg: &RunnerConfig) -> V
                 // guard and keep draining.
                 let next = queue.lock().unwrap_or_else(PoisonError::into_inner).pop();
                 let Some((_, idx)) = next else { break };
-                let result = run_one(plan[idx], cfg);
+                let result = work(&items[idx]);
                 *slots[idx].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
             });
         }
@@ -747,23 +778,7 @@ fn run_scenarios_pooled(plan: &[Scenario], jobs: usize, cfg: &RunnerConfig) -> V
 
     slots
         .into_iter()
-        .enumerate()
-        .map(|(idx, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| ScenarioResult {
-                    scenario: plan[idx],
-                    outcome: Err(ScenarioFailure {
-                        kind: ScenarioFailureKind::Panicked,
-                        detail: "worker thread died before recording a result".to_string(),
-                    }),
-                    wall: Duration::ZERO,
-                    transitions: 0,
-                    retries: 0,
-                    fingerprint: None,
-                    cached: false,
-                })
-        })
+        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect()
 }
 

@@ -10,10 +10,10 @@
 //! * **lookup** consults the [`ResultCache`] by spec fingerprint, so
 //!   warm submissions are answered at admission time without touching
 //!   the worker pool;
-//! * **run** executes one attempt through the same `catch_unwind` +
-//!   ambient-watchdog isolation the parallel runner uses, classifying
-//!   panics with [`runner::classify_panic`] so a poisoned spec becomes
-//!   a typed [`JobFailure`] instead of a dead worker;
+//! * **run** executes one attempt through [`spec_run::run_spec_report`],
+//!   which enforces the spec's watchdog and classifies panics with
+//!   [`runner::classify_panic`], so a poisoned spec becomes a typed
+//!   [`JobFailure`] instead of a dead worker;
 //! * **expand** turns a sweep template into individual spec bodies for
 //!   all-or-nothing batched admission.
 //!
@@ -22,11 +22,10 @@
 use crate::cache::{self, ResultCache};
 use crate::runner::{self, ChaosKind, RunnerConfig, Scenario};
 use crate::spec_run;
-use crate::trace::{ParsedTrace, TraceScenario};
+use crate::trace::{self, ParsedTrace};
 use hvx_core::report::CellReport;
-use hvx_core::Workload;
 use hvx_core::{Error, ScenarioFailureKind, ScenarioSpec, SchedPolicy, SpecShape, TopologySpec};
-use hvx_engine::{fault, Watchdog};
+use hvx_engine::Watchdog;
 use hvx_serve::{client, JobExecutor, JobFailure, JobOutput, PreparedJob, Server, ServerConfig};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
@@ -74,31 +73,41 @@ impl SuiteExecutor {
 
     /// Stores ranked critical chains for a just-completed cold
     /// paper-shape run, so `GET /trace/<fp>` answers from the warm
-    /// cache without re-running anything. Best-effort: a trace that
-    /// fails to run or parse simply leaves no stored trace (the
-    /// endpoint 404s), never failing the job itself.
+    /// cache without re-running anything. The traced run is the spec's
+    /// own — fault plan, watchdog and vIRQ policy included — so the
+    /// chains belong to the run `fingerprint` names. Best-effort: a
+    /// spec of another shape, or a trace that fails to run or parse,
+    /// simply leaves no stored trace (the endpoint 404s), never failing
+    /// the job itself.
     fn store_trace(&self, fingerprint: &str, spec: &ScenarioSpec) {
         let Some(cache) = &self.cache else { return };
-        if spec.shape().ok() != Some(SpecShape::Paper) {
-            return;
-        }
-        let scenario = TraceScenario {
-            workload: spec.workload.unwrap_or(Workload::Netperf),
-            kind: spec.hypervisor,
-            ring: None,
-        };
-        let Ok(report) = crate::trace::run_trace(scenario) else {
+        let Ok(report) = trace::run_trace(spec, None) else {
             return;
         };
-        let Ok(parsed) = ParsedTrace::parse(&report.json) else {
+        let Some(chains) = top_chains(&report.json) else {
             return;
         };
-        let mut chains = parsed.chains();
-        // The query ranking: longest end-to-end latency first, chain id
-        // as the deterministic tiebreak.
-        chains.sort_by(|a, b| b.latency.cmp(&a.latency).then(a.id.cmp(&b.id)));
-        chains.truncate(MAX_STORED_CHAINS);
-        let chains_json: Vec<Value> = chains
+        cache.store_raw(
+            &trace_key(fingerprint),
+            TRACE_RESULT_KIND,
+            Value::Object(vec![
+                ("scenario".into(), Value::Str(report.scenario)),
+                ("fingerprint".into(), Value::Str(fingerprint.to_string())),
+                ("chains".into(), chains),
+            ]),
+        );
+    }
+}
+
+/// The top [`MAX_STORED_CHAINS`] chains of an exported trace, in the
+/// query ranking (longest end-to-end latency first, chain id as the
+/// deterministic tiebreak), as the JSON array `/trace/<fp>` serves.
+fn top_chains(json: &str) -> Option<Value> {
+    let mut chains = ParsedTrace::parse(json).ok()?.chains();
+    chains.sort_by(|a, b| b.latency.cmp(&a.latency).then(a.id.cmp(&b.id)));
+    chains.truncate(MAX_STORED_CHAINS);
+    Some(Value::Array(
+        chains
             .iter()
             .map(|c| {
                 Value::Object(vec![
@@ -124,17 +133,8 @@ impl SuiteExecutor {
                     ),
                 ])
             })
-            .collect();
-        cache.store_raw(
-            &trace_key(fingerprint),
-            TRACE_RESULT_KIND,
-            Value::Object(vec![
-                ("scenario".into(), Value::Str(scenario.name())),
-                ("fingerprint".into(), Value::Str(fingerprint.to_string())),
-                ("chains".into(), Value::Array(chains_json)),
-            ]),
-        );
-    }
+            .collect(),
+    ))
 }
 
 /// Parses a chaos probe body (`{"chaos": "panic" | "spin" |
@@ -215,34 +215,21 @@ impl JobExecutor for SuiteExecutor {
             detail: e.to_string(),
             transient: false,
         })?;
-        let outcome = {
-            // The spec's own watchdog guards the run; the ambient fault
-            // plan stays empty because spec faults are applied by the
-            // engine the spec dispatches to (run_consolidation installs
-            // them on the cell machine directly).
-            let _ambient = fault::install_ambient(None, spec.watchdog);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                spec_run::run_spec_report(&spec)
-            }))
-        };
-        match outcome {
-            Err(payload) => {
-                let f = runner::classify_panic(payload.as_ref());
-                Err(JobFailure {
-                    // Panics are plausibly transient (a host-side
-                    // resource blip); watchdog trips are deterministic
-                    // under a fixed spec and must fail fast.
-                    transient: f.kind == ScenarioFailureKind::Panicked,
-                    kind: f.kind,
-                    detail: f.detail,
-                })
-            }
-            Ok(Err(e)) => Err(JobFailure {
+        match spec_run::run_spec_report(&spec) {
+            Err(Error::Scenario { kind, detail, .. }) => Err(JobFailure {
+                // Panics are plausibly transient (a host-side resource
+                // blip); watchdog trips are deterministic under a fixed
+                // spec and must fail fast.
+                transient: kind == ScenarioFailureKind::Panicked,
+                kind,
+                detail,
+            }),
+            Err(e) => Err(JobFailure {
                 kind: ScenarioFailureKind::Failed,
                 detail: e.to_string(),
                 transient: false,
             }),
-            Ok(Ok(run)) => {
+            Ok(run) => {
                 if job.cacheable {
                     if let Some(cache) = &self.cache {
                         cache.store_raw(
@@ -566,6 +553,36 @@ mod tests {
         assert_eq!(
             warm.cell.fingerprint.as_deref(),
             Some(job.fingerprint.as_str())
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stored_trace_comes_from_the_specs_own_run() {
+        let dir = std::env::temp_dir().join(format!(
+            "hvx-service-test-{}-{}",
+            std::process::id(),
+            line!()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Arc::new(ResultCache::open(&dir).unwrap());
+        let exec = SuiteExecutor::new(Some(cache));
+
+        let mut spec = ScenarioSpec::paper(HvKind::KvmArm);
+        spec.set_fault_plan(&hvx_engine::FaultPlan::parse("wire_drop=0.1", 7).unwrap());
+        let job = exec.prepare(&spec_run::to_json(&spec)).unwrap();
+        exec.run(&job).unwrap();
+        let stored = exec
+            .trace(&job.fingerprint)
+            .expect("a cold paper-shape run stores its trace");
+        let stored = serde_json::parse_value(&stored).unwrap();
+        let chains = |s: &ScenarioSpec| top_chains(&trace::run_trace(s, None).unwrap().json);
+        assert_eq!(Some(&stored["chains"]), chains(&spec).as_ref());
+        let clean = ScenarioSpec::paper(HvKind::KvmArm);
+        assert_ne!(
+            Some(&stored["chains"]),
+            chains(&clean).as_ref(),
+            "the stored chains must carry the spec's fault plan"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

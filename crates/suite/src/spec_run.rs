@@ -1,27 +1,47 @@
-//! Running a scenario straight from a [`ScenarioSpec`] file.
+//! Running a scenario straight from a [`ScenarioSpec`].
 //!
-//! `hvx-repro run --spec FILE` deserializes a JSON [`ScenarioSpec`],
-//! validates its topology shape, and dispatches it to the engine that
-//! implements that shape:
+//! Every single-cell entry point takes a spec: `hvx-repro run --spec
+//! FILE` and the sweep server's jobs come here, and `hvx-repro profile`
+//! and `hvx-repro trace` hand theirs to [`crate::profile::run_profile`]
+//! and [`crate::trace::run_trace`]. This module owns the mapping between
+//! a `<workload>-<hypervisor>` scenario name (e.g. `netperf-kvm-arm`)
+//! and the paper-shape spec it names ([`paper_spec`], [`paper_name`]).
+//!
+//! [`run_spec`] validates a spec's topology shape and dispatches it to
+//! the engine that implements that shape:
 //!
 //! * **Paper** shape → [`SimBuilder::from_spec`] plus the Figure 4
 //!   workload engine ([`workloads::run`]) — exactly the path a
 //!   builder-constructed run takes, so the output is byte-identical to
 //!   the equivalent fluent-API invocation.
-//! * **Consolidation** shape → [`consolidation::run_cell`], the SMP
+//! * **Consolidation** shape → [`consolidation::run_cell_with`], the SMP
 //!   oversubscription cell with the spec's vCPU scheduler.
+//! * **Rack** shape → [`rack::run_cell_with`], the multi-host ring.
+//!
+//! Every shape runs under the spec's watchdog. [`run_spec_report`] is
+//! the guarded form: it turns a panic or watchdog trip into a typed
+//! [`Error::Scenario`].
 //!
 //! The rendered report deliberately omits loop-compiler internals
 //! (`iters_replayed`), so output is byte-identical whether the engine
 //! compiled the steady state or interpreted it — the differential tests
 //! already pin the numbers themselves together.
+//!
+//! ```
+//! use hvx_suite::spec_run;
+//!
+//! let spec = spec_run::paper_spec("tcp_rr-kvm-arm").unwrap();
+//! assert_eq!(spec_run::paper_name(&spec), "tcp_rr-kvm-arm");
+//! let run = spec_run::run_spec_report(&spec).unwrap();
+//! assert!(run.report.contains("workload:     TCP_RR"));
+//! ```
 
 use crate::consolidation::{self, TRANSACTIONS_PER_VM};
-use crate::profile::mix_for;
-use crate::rack;
-use crate::workloads;
+use crate::workloads::{self, Mix};
+use crate::{rack, runner};
 use hvx_core::report::CellReport;
-use hvx_core::{Error, ScenarioSpec, SimBuilder, SpecShape, Workload};
+use hvx_core::{Error, HvKind, ScenarioSpec, Sim, SimBuilder, SpecShape, Workload};
+use hvx_engine::{fault, Cycles};
 use std::path::Path;
 
 /// Reads and deserializes a spec file.
@@ -62,13 +82,50 @@ pub fn to_json(spec: &ScenarioSpec) -> String {
     s
 }
 
-/// Runs the scenario a spec describes and renders its report.
+/// The `<workload>-<hypervisor>` name of a paper-shape spec (e.g.
+/// `netperf-kvm-arm`); a spec that names no workload runs netperf.
+pub fn paper_name(spec: &ScenarioSpec) -> String {
+    format!(
+        "{}-{}",
+        spec.workload.unwrap_or(Workload::Netperf).slug(),
+        spec.hypervisor.slug()
+    )
+}
+
+/// Parses a `<workload>-<hypervisor>` name into the paper-shape spec it
+/// names.
+///
+/// # Errors
+///
+/// [`Error::UnknownScenario`] when no hypervisor slug ends the name
+/// after a non-empty prefix; [`Error::UnknownWorkload`] when the prefix
+/// names no workload.
+pub fn paper_spec(name: &str) -> Result<ScenarioSpec, Error> {
+    for kind in HvKind::ALL {
+        let prefix = name
+            .strip_suffix(kind.slug())
+            .and_then(|p| p.strip_suffix('-'));
+        if let Some(workload) = prefix.filter(|p| !p.is_empty()) {
+            return Ok(ScenarioSpec::paper(kind).with_workload(Workload::parse(workload)?));
+        }
+    }
+    Err(Error::UnknownScenario { name: name.into() })
+}
+
+/// Runs the scenario a spec describes under the spec's watchdog and
+/// renders its report. A watchdog trip panics with the engine's typed
+/// payload; [`run_spec_report`] is the form that catches it.
 ///
 /// # Errors
 ///
 /// [`Error::InvalidSpec`] for topologies no model implements or knob
 /// combinations a shape does not support; engine errors pass through.
 pub fn run_spec(spec: &ScenarioSpec) -> Result<String, Error> {
+    // Machines pick the ambient watchdog up at construction, which is
+    // the only way it reaches consolidation and rack cells (paper-shape
+    // machines also get it from the builder). No ambient fault plan:
+    // each shape applies the spec's own.
+    let _watchdog = fault::install_ambient(None, spec.watchdog);
     match spec.shape()? {
         SpecShape::Paper => run_paper(spec),
         SpecShape::Consolidation { ratio } => run_consolidation(spec, ratio),
@@ -106,14 +163,27 @@ pub fn label(spec: &ScenarioSpec) -> String {
     }
 }
 
-/// [`run_spec`] with a structured result: the rendered report plus a
-/// [`CellReport`] carrying the spec's content fingerprint.
+/// Runs a spec through [`run_spec`], so under its watchdog whatever the
+/// shape, and returns the rendered report plus a [`CellReport`] carrying
+/// the spec's content fingerprint. This is the one guarded entry for
+/// running a spec (`run --spec` and the sweep server's jobs both come
+/// here): a panic or watchdog trip is caught and classified as the
+/// artifact runner does ([`runner::classify_panic`]).
 ///
 /// # Errors
 ///
-/// Same as [`run_spec`].
+/// [`Error::Scenario`] when the run panicked, timed out or livelocked;
+/// otherwise as for [`run_spec`].
 pub fn run_spec_report(spec: &ScenarioSpec) -> Result<SpecRun, Error> {
-    let report = run_spec(spec)?;
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_spec(spec)));
+    let report = outcome.map_err(|payload| {
+        let failure = runner::classify_panic(payload.as_ref());
+        Error::Scenario {
+            scenario: label(spec),
+            kind: failure.kind,
+            detail: failure.detail,
+        }
+    })??;
     Ok(SpecRun {
         report,
         cell: CellReport {
@@ -126,11 +196,44 @@ pub fn run_spec_report(spec: &ScenarioSpec) -> Result<SpecRun, Error> {
     })
 }
 
-fn run_paper(spec: &ScenarioSpec) -> Result<String, Error> {
-    let workload = spec.workload.unwrap_or(Workload::Netperf);
-    let mix = mix_for(workload)?;
-    let mut sim = SimBuilder::from_spec(spec.clone()).build()?;
+fn mix_for(workload: Workload) -> Result<Mix, Error> {
+    workloads::catalog()
+        .into_iter()
+        .find(|w| w.name == workload.catalog_name())
+        .map(|w| w.mix)
+        .ok_or_else(|| Error::UnknownWorkload {
+            name: workload.catalog_name().into(),
+        })
+}
+
+/// Builds a paper-shape spec's machine — the spec's fault plan,
+/// watchdog and vIRQ policy included — with `instrument` applied to the
+/// builder, and runs the spec's workload (netperf when it names none).
+/// Returns the simulation, for reading instrumentation back, and the
+/// makespan.
+///
+/// # Errors
+///
+/// [`Error::InvalidSpec`] for any other shape; build and run errors
+/// pass through.
+pub(crate) fn run_paper_sim(
+    spec: &ScenarioSpec,
+    instrument: impl FnOnce(SimBuilder) -> SimBuilder,
+) -> Result<(Sim, Cycles), Error> {
+    if spec.shape()? != SpecShape::Paper {
+        return Err(Error::InvalidSpec {
+            detail: format!("{} needs the paper shape (4p/1vm/4vcpu)", label(spec)),
+        });
+    }
+    let mix = mix_for(spec.workload.unwrap_or(Workload::Netperf))?;
+    let mut sim = instrument(SimBuilder::from_spec(spec.clone())).build()?;
     let makespan = workloads::run(sim.as_dyn_mut(), mix, spec.virq_policy)?;
+    Ok((sim, makespan))
+}
+
+fn run_paper(spec: &ScenarioSpec) -> Result<String, Error> {
+    let (_, makespan) = run_paper_sim(spec, |b| b)?;
+    let workload = spec.workload.unwrap_or(Workload::Netperf);
     let mut out = String::new();
     out.push_str("== scenario spec run ==\n");
     out.push_str(&format!("hypervisor:   {}\n", spec.hypervisor));
@@ -159,8 +262,8 @@ fn run_consolidation(spec: &ScenarioSpec, ratio: u32) -> Result<String, Error> {
         policy: spec.scheduler,
         txns_per_vm: txns,
         // Fault-armed cells always interpret (loop_begin declines a
-        // machine with faults installed); clean cells keep the
-        // ambient compile toggle.
+        // machine with faults installed); clean cells compile unless
+        // the `HVX_COMPILE` environment variable turns it off.
         compile: workloads::compile_enabled(),
         profiling: false,
         fault: fault.clone(),
@@ -215,8 +318,8 @@ fn run_rack(spec: &ScenarioSpec, hosts: u32, vms_per_host: u32) -> Result<String
         }
     }
     let composition = match spec.hypervisor {
-        hvx_core::HvKind::KvmArm => rack::Composition::AllKvm,
-        hvx_core::HvKind::XenArm => rack::Composition::AllXen,
+        HvKind::KvmArm => rack::Composition::AllKvm,
+        HvKind::XenArm => rack::Composition::AllXen,
         other => {
             return Err(Error::InvalidSpec {
                 detail: format!("rack cells model ARM hypervisors; got '{other}'"),
@@ -257,7 +360,34 @@ fn run_rack(spec: &ScenarioSpec, hosts: u32, vms_per_host: u32) -> Result<String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hvx_core::{HvKind, SchedPolicy, VirqPolicy};
+    use hvx_core::{SchedPolicy, VirqPolicy};
+
+    #[test]
+    fn scenario_names_round_trip() {
+        for kind in HvKind::ALL {
+            for (workload, _) in Workload::SLUGS {
+                let spec = ScenarioSpec::paper(kind).with_workload(workload);
+                assert_eq!(paper_spec(&paper_name(&spec)).unwrap(), spec);
+            }
+        }
+        let spec = paper_spec("mysql-kvm-arm-vhe").unwrap();
+        assert_eq!(spec.hypervisor, HvKind::KvmArmVhe);
+        assert_eq!(spec.workload, Some(Workload::Mysql));
+        assert_eq!(
+            paper_name(&ScenarioSpec::paper(HvKind::XenX86)),
+            "netperf-xen-x86"
+        );
+        for unknown in ["netperf-riscv", "kvm-arm", "-kvm-arm", "netperf-xkvm-arm"] {
+            assert!(
+                matches!(paper_spec(unknown), Err(Error::UnknownScenario { .. })),
+                "{unknown}"
+            );
+        }
+        assert!(matches!(
+            paper_spec("doom-kvm-arm"),
+            Err(Error::UnknownWorkload { .. })
+        ));
+    }
 
     #[test]
     fn spec_json_round_trips_losslessly() {

@@ -11,93 +11,24 @@
 //! chain's end-to-end latency into the machine's [`MetricsRegistry`]
 //! so the Fig. 4 asymmetry quantities are queryable without a viewer.
 //!
-//! ```
-//! use hvx_suite::trace::TraceScenario;
+//! A traced run takes a paper-shape [`ScenarioSpec`], so its fault
+//! plan, watchdog and vIRQ policy shape the trace exactly as they shape
+//! an untraced run of the same spec.
 //!
-//! let sc = TraceScenario::resolve("tcp_rr", Some("kvm-arm"), None).unwrap();
-//! let report = hvx_suite::trace::run_trace(sc).unwrap();
+//! ```
+//! let spec = hvx_suite::spec_run::paper_spec("tcp_rr-kvm-arm").unwrap();
+//! let report = hvx_suite::trace::run_trace(&spec, None).unwrap();
 //! let parsed = hvx_suite::trace::ParsedTrace::parse(&report.json).unwrap();
 //! assert!(hvx_suite::trace::validate(&parsed).is_ok());
 //! ```
 //!
 //! [`MetricsRegistry`]: hvx_engine::MetricsRegistry
 
-use crate::profile::{self, ProfileScenario};
-use crate::workloads;
-use hvx_core::{Error, HvKind, SimBuilder, VirqPolicy, Workload};
+use crate::spec_run;
+use hvx_core::{Error, HvKind, ScenarioSpec, Workload};
 use hvx_engine::TraceMode;
 use serde::{Serialize, Value};
 use std::time::Instant;
-
-/// One traced scenario: a Figure 4 workload on one configuration, with
-/// an optional ring-buffer cap on the event stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct TraceScenario {
-    /// The workload whose operation mix is run.
-    pub workload: Workload,
-    /// The configuration under trace.
-    pub kind: HvKind,
-    /// Ring-buffer capacity in events (`None` = unbounded).
-    pub ring: Option<usize>,
-}
-
-/// Parses a hypervisor CLI slug (`kvm-arm`, `xen-arm`, ...).
-pub fn parse_hypervisor(slug: &str) -> Option<HvKind> {
-    [
-        HvKind::KvmArm,
-        HvKind::XenArm,
-        HvKind::KvmX86,
-        HvKind::XenX86,
-        HvKind::KvmArmVhe,
-        HvKind::Native,
-    ]
-    .into_iter()
-    .find(|k| profile::kind_slug(*k) == slug)
-}
-
-impl TraceScenario {
-    /// Resolves the CLI form: either `trace <workload> --hypervisor
-    /// <hv>` or the combined `<workload>-<hv>` scenario name the
-    /// profiler uses.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnknownScenario`] when the hypervisor slug (or combined
-    /// name) does not resolve; [`Error::UnknownWorkload`] for an
-    /// unknown workload prefix.
-    pub fn resolve(
-        scenario: &str,
-        hypervisor: Option<&str>,
-        ring: Option<usize>,
-    ) -> Result<TraceScenario, Error> {
-        let (workload, kind) = match hypervisor {
-            Some(slug) => {
-                let kind = parse_hypervisor(slug).ok_or_else(|| Error::UnknownScenario {
-                    name: slug.to_string(),
-                })?;
-                (Workload::parse(scenario)?, kind)
-            }
-            None => {
-                let sc = ProfileScenario::parse(scenario)?;
-                (sc.workload, sc.kind)
-            }
-        };
-        Ok(TraceScenario {
-            workload,
-            kind,
-            ring,
-        })
-    }
-
-    /// The scenario's CLI name, `<workload>-<kind>`.
-    pub fn name(&self) -> String {
-        ProfileScenario {
-            workload: self.workload,
-            kind: self.kind,
-        }
-        .name()
-    }
-}
 
 /// One traced run: the Chrome trace-event JSON plus the headline
 /// numbers the CLI prints.
@@ -126,7 +57,9 @@ pub struct TraceReport {
     pub json: String,
 }
 
-/// Runs one scenario with event tracing enabled and exports the trace.
+/// Runs one paper-shape spec with event tracing enabled and exports
+/// the trace. `ring` caps the event stores at that many retained events
+/// (`None` = unbounded).
 ///
 /// The derivation pass runs before export: the chain latencies land in
 /// the machine's metrics registry, so the report's means come from the
@@ -134,21 +67,17 @@ pub struct TraceReport {
 ///
 /// # Errors
 ///
-/// Build/run errors from the simulation ([`Error::InvalidCpus`],
-/// [`Error::UnknownWorkload`], ...); [`Error::Serialize`] if the trace
-/// JSON fails to render.
-pub fn run_trace(scenario: TraceScenario) -> Result<TraceReport, Error> {
-    let mix = profile::mix_for(scenario.workload)?;
-    let mut builder = SimBuilder::new(scenario.kind)
-        .workload(scenario.workload)
-        .tracing(TraceMode::Aggregate)
-        .profiling(true);
-    builder = match scenario.ring {
-        Some(slots) => builder.event_ring(slots),
-        None => builder.event_tracing(true),
-    };
-    let mut sim = builder.build()?;
-    let makespan = workloads::run(sim.as_dyn_mut(), mix, VirqPolicy::Vcpu0)?;
+/// [`Error::InvalidSpec`] for a spec of any other shape; build/run
+/// errors from the simulation ([`Error::UnknownWorkload`], ...);
+/// [`Error::Serialize`] if the trace JSON fails to render.
+pub fn run_trace(spec: &ScenarioSpec, ring: Option<usize>) -> Result<TraceReport, Error> {
+    let (mut sim, makespan) = spec_run::run_paper_sim(spec, |b| {
+        let b = b.tracing(TraceMode::Aggregate).profiling(true);
+        match ring {
+            Some(slots) => b.event_ring(slots),
+            None => b.event_tracing(true),
+        }
+    })?;
     sim.sample_metrics();
 
     let tracer = sim
@@ -165,7 +94,7 @@ pub fn run_trace(scenario: TraceScenario) -> Result<TraceReport, Error> {
         .all_cores()
         .map(|c| c.to_string())
         .collect();
-    let name = scenario.name();
+    let name = spec_run::paper_name(spec);
     let trace = tracer.chrome_trace(&name, &tracks);
     let json = serde_json::to_string_pretty(&trace).map_err(|e| Error::Serialize {
         what: "chrome trace",
@@ -186,7 +115,7 @@ pub fn run_trace(scenario: TraceScenario) -> Result<TraceReport, Error> {
     let mean = |h: &str| metrics.histogram(h).map_or(0.0, |h| h.mean());
     Ok(TraceReport {
         scenario: name,
-        ring: scenario.ring,
+        ring,
         makespan_cycles: makespan.as_u64(),
         events_recorded: tracer.recorded(),
         events_dropped: tracer.dropped_slices(),
@@ -668,19 +597,6 @@ pub fn validate(trace: &ParsedTrace) -> Result<String, Error> {
 // Tracing-overhead benchmark (BENCH_trace.json)
 // ---------------------------------------------------------------------------
 
-/// The nine Figure 4 workloads, in catalog order.
-pub const FIG4_WORKLOADS: [Workload; 9] = [
-    Workload::Kernbench,
-    Workload::Hackbench,
-    Workload::SpecJvm2008,
-    Workload::TcpRr,
-    Workload::TcpStream,
-    Workload::TcpMaerts,
-    Workload::Apache,
-    Workload::Memcached,
-    Workload::Mysql,
-];
-
 /// Wall time of one Fig. 4 cell under one tracing mode.
 #[derive(Debug, Clone, Serialize)]
 pub struct TraceBenchCell {
@@ -713,17 +629,13 @@ pub struct TraceBench {
     pub cells: Vec<TraceBenchCell>,
 }
 
-fn bench_cell(workload: Workload, kind: HvKind, ring: Option<Option<usize>>) -> Result<f64, Error> {
-    let mix = profile::mix_for(workload)?;
-    let mut builder = SimBuilder::new(kind).workload(workload);
-    builder = match ring {
-        None => builder,
-        Some(None) => builder.event_tracing(true),
-        Some(Some(slots)) => builder.event_ring(slots),
-    };
+fn bench_cell(spec: &ScenarioSpec, ring: Option<Option<usize>>) -> Result<f64, Error> {
     let start = Instant::now();
-    let mut sim = builder.build()?;
-    workloads::run(sim.as_dyn_mut(), mix, VirqPolicy::Vcpu0)?;
+    spec_run::run_paper_sim(spec, |b| match ring {
+        None => b,
+        Some(None) => b.event_tracing(true),
+        Some(Some(slots)) => b.event_ring(slots),
+    })?;
     Ok(start.elapsed().as_secs_f64())
 }
 
@@ -739,17 +651,17 @@ fn bench_cell(workload: Workload, kind: HvKind, ring: Option<Option<usize>>) -> 
 pub fn run_trace_bench(ring_slots: usize) -> Result<TraceBench, Error> {
     let mut cells = Vec::new();
     let (mut off, mut on, mut ring) = (0.0, 0.0, 0.0);
-    for workload in FIG4_WORKLOADS {
+    for workload in Workload::ALL {
         for kind in HvKind::MEASURED {
-            let name = ProfileScenario { workload, kind }.name();
-            let off_s = bench_cell(workload, kind, None)?;
-            let on_s = bench_cell(workload, kind, Some(None))?;
-            let ring_s = bench_cell(workload, kind, Some(Some(ring_slots)))?;
+            let spec = ScenarioSpec::paper(kind).with_workload(workload);
+            let off_s = bench_cell(&spec, None)?;
+            let on_s = bench_cell(&spec, Some(None))?;
+            let ring_s = bench_cell(&spec, Some(Some(ring_slots)))?;
             off += off_s;
             on += on_s;
             ring += ring_s;
             cells.push(TraceBenchCell {
-                scenario: name,
+                scenario: spec_run::paper_name(&spec),
                 off_seconds: off_s,
                 on_seconds: on_s,
                 ring_seconds: ring_s,
@@ -771,24 +683,14 @@ pub fn run_trace_bench(ring_slots: usize) -> Result<TraceBench, Error> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn scenario_resolution_covers_both_cli_forms() {
-        let a = TraceScenario::resolve("tcp_rr", Some("kvm-arm"), None).unwrap();
-        let b = TraceScenario::resolve("tcp_rr-kvm-arm", None, Some(64)).unwrap();
-        assert_eq!(a.workload, Workload::TcpRr);
-        assert_eq!(a.kind, HvKind::KvmArm);
-        assert_eq!(b.kind, HvKind::KvmArm);
-        assert_eq!(b.ring, Some(64));
-        assert_eq!(a.name(), "tcp_rr-kvm-arm");
-        assert!(TraceScenario::resolve("tcp_rr", Some("riscv"), None).is_err());
-        assert!(TraceScenario::resolve("doom", Some("kvm-arm"), None).is_err());
+    fn spec(name: &str) -> ScenarioSpec {
+        spec_run::paper_spec(name).unwrap()
     }
 
     #[test]
     fn traced_tcp_rr_round_trips_and_validates_on_both_arms() {
         for hv in ["kvm-arm", "xen-arm"] {
-            let sc = TraceScenario::resolve("tcp_rr", Some(hv), None).unwrap();
-            let report = run_trace(sc).unwrap();
+            let report = run_trace(&spec(&format!("tcp_rr-{hv}")), None).unwrap();
             assert!(report.events_recorded > 0, "{hv} recorded nothing");
             assert_eq!(report.events_dropped, 0, "{hv} dropped unbounded events");
             assert!(report.flows_complete > 0, "{hv} completed no chains");
@@ -805,17 +707,13 @@ mod tests {
     fn xen_delivery_latency_exceeds_kvm_in_the_export() {
         // The Fig. 4 direction must survive the full export → parse →
         // reassemble round trip, not just the in-memory tracer.
-        let mean = |hv: &str| {
-            let sc = TraceScenario::resolve("tcp_rr", Some(hv), None).unwrap();
-            run_trace(sc).unwrap().irq_delivery_mean
-        };
-        assert!(mean("xen-arm") > mean("kvm-arm"));
+        let mean = |name: &str| run_trace(&spec(name), None).unwrap().irq_delivery_mean;
+        assert!(mean("tcp_rr-xen-arm") > mean("tcp_rr-kvm-arm"));
     }
 
     #[test]
     fn ring_mode_caps_events_and_surfaces_drops() {
-        let sc = TraceScenario::resolve("tcp_rr-kvm-arm", None, Some(32)).unwrap();
-        let report = run_trace(sc).unwrap();
+        let report = run_trace(&spec("tcp_rr-kvm-arm"), Some(32)).unwrap();
         assert!(report.events_dropped > 0, "a 32-slot ring must overwrite");
         assert!(report.events_recorded > report.events_dropped);
         let parsed = ParsedTrace::parse(&report.json).unwrap();
@@ -823,9 +721,17 @@ mod tests {
     }
 
     #[test]
+    fn non_paper_specs_are_rejected() {
+        let rack = ScenarioSpec::rack(HvKind::KvmArm, 4, 2);
+        assert!(matches!(
+            run_trace(&rack, None),
+            Err(Error::InvalidSpec { .. })
+        ));
+    }
+
+    #[test]
     fn query_filters_and_ranks_chains() {
-        let sc = TraceScenario::resolve("tcp_rr-kvm-arm", None, None).unwrap();
-        let report = run_trace(sc).unwrap();
+        let report = run_trace(&spec("tcp_rr-kvm-arm"), None).unwrap();
         let parsed = ParsedTrace::parse(&report.json).unwrap();
         let all = render_query(&parsed, &Query::default(), "t.json");
         assert!(all.contains("complete chains by latency"));

@@ -174,6 +174,35 @@ fn run_spec_rejects_conflicts_and_missing_files() {
     assert_eq!(missing.status.code(), Some(1));
 }
 
+/// The spec's watchdog bounds a `run --spec` run whatever its shape: a
+/// tiny cycle budget is a typed timeout (exit 3), never a crash or a
+/// silently unbounded run.
+#[test]
+fn run_spec_enforces_the_spec_watchdog_on_every_shape() {
+    let dir = std::env::temp_dir().join(format!("hvx-spec-watchdog-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for shipped in ["paper-kvm.json", "consolidation-8to1.json", "rack-8x4.json"] {
+        let source = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../specs")
+            .join(shipped);
+        let mut spec = hvx_suite::spec_run::load(&source).unwrap();
+        spec.watchdog.cycle_budget = Some(1000);
+        let path = dir.join(shipped);
+        std::fs::write(&path, hvx_suite::spec_run::to_json(&spec)).unwrap();
+        let out = hvx_repro()
+            .args(["run", "--spec", path.to_str().unwrap()])
+            .output()
+            .expect("run hvx-repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{shipped}: {stderr}");
+        assert!(
+            stderr.contains("timed out: simulated-cycle budget exceeded"),
+            "{shipped}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `list-scenarios` names every artifact and the default profile set.
 #[test]
 fn list_scenarios_exits_zero_and_is_complete() {

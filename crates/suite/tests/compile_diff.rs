@@ -9,17 +9,6 @@ use hvx_suite::consolidation;
 use hvx_suite::workloads::{self, catalog, DiskDevice, Mix};
 use proptest::prelude::*;
 
-/// Every configuration the compiler must match bit-for-bit: the four
-/// measured hypervisors, the VHE projection, and the native baseline.
-const KINDS: [HvKind; 6] = [
-    HvKind::KvmArm,
-    HvKind::XenArm,
-    HvKind::KvmX86,
-    HvKind::XenX86,
-    HvKind::KvmArmVhe,
-    HvKind::Native,
-];
-
 fn build(kind: HvKind) -> Box<dyn Hypervisor> {
     SimBuilder::new(kind)
         .build()
@@ -44,7 +33,7 @@ fn catalog_compiled_equals_interpreted_on_every_configuration() {
     let mut cells = 0u32;
     let mut replayed_cells = 0u32;
     for w in catalog() {
-        for kind in KINDS {
+        for kind in HvKind::ALL {
             let Ok((c, i, replayed)) = run_both(kind, w.mix, VirqPolicy::Vcpu0) else {
                 // n/a cells (the hardened runner marks these) must be
                 // n/a identically on both paths.

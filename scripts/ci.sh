@@ -24,6 +24,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "== fault smoke =="
 sh scripts/fault_smoke.sh
 
+echo "== profile smoke =="
+sh scripts/profile_smoke.sh
+
 echo "== trace smoke =="
 sh scripts/trace_smoke.sh
 

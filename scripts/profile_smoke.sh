@@ -6,11 +6,11 @@
 set -eu
 
 cargo build -q --release -p hvx-suite
+repro="target/release/hvx-repro"
 
 for scenario in netperf-kvm-arm netperf-xen-arm netperf-kvm-x86 netperf-xen-x86; do
     echo "== profile $scenario =="
-    out=$(cargo run -q --release -p hvx-suite --bin hvx-repro -- \
-        profile --scenario "$scenario" --jobs 1)
+    out=$("$repro" profile --scenario "$scenario" --jobs 1)
     echo "$out" | head -6
 
     case "$out" in

@@ -2,8 +2,9 @@
 # Event-tracing smoke test: a traced TCP_RR cell on both ARM
 # hypervisors, structural validation of the exported Chrome trace
 # (well-formed events, a complete kick->delivery flow chain, monotone
-# per-track timestamps), ring-buffer drops, and off-mode byte-identity
-# against the committed baselines. Run from the repository root.
+# per-track timestamps), identical JSON from both scenario spellings,
+# ring-buffer drops, and off-mode byte-identity against the committed
+# baselines. Run from the repository root.
 set -eu
 
 cargo build -q --release -p hvx-suite
@@ -25,6 +26,13 @@ for hv in kvm-arm xen-arm; do
         ;;
     esac
 done
+
+echo "== both scenario spellings name the same run =="
+"$repro" trace tcp_rr-kvm-arm --out "$tmp/combined.json" >/dev/null
+if ! cmp -s "$tmp/kvm-arm.json" "$tmp/combined.json"; then
+    echo "trace_smoke: 'tcp_rr --hypervisor kvm-arm' and 'tcp_rr-kvm-arm' wrote different JSON" >&2
+    exit 1
+fi
 
 echo "== the two arms disagree in the paper's direction (Fig. 4) =="
 kvm_irq=$("$repro" trace query "$tmp/kvm-arm.json" | grep irq_delivery | tail -1 | awk '{print int($NF)}')

@@ -8,16 +8,6 @@ use hvx::core::{Error, HvKind, SimBuilder, VirqPolicy, Workload};
 use hvx::suite::workloads::{self, DiskDevice, Mix};
 use proptest::prelude::*;
 
-/// All six configurations, measured and modelled.
-const KINDS: [HvKind; 6] = [
-    HvKind::KvmArm,
-    HvKind::XenArm,
-    HvKind::KvmX86,
-    HvKind::XenX86,
-    HvKind::KvmArmVhe,
-    HvKind::Native,
-];
-
 /// The calibrated mix of a catalog workload, by Figure 4 name.
 fn catalog_mix(workload: Workload) -> Mix {
     workloads::catalog()
@@ -113,7 +103,7 @@ proptest! {
     fn catalog_completes_on_every_kind_at_scale(scale in 1u32..11) {
         for workload in Workload::ALL {
             let mix = scaled(catalog_mix(workload), scale);
-            for kind in KINDS {
+            for kind in HvKind::ALL {
                 let mut sim = SimBuilder::new(kind)
                     .workload(workload)
                     .build()
@@ -142,7 +132,7 @@ fn disk_io_reads_full_requests_and_wraps_offsets() {
         sectors: 2_048,
         device: DiskDevice::Ssd,
     };
-    for kind in KINDS {
+    for kind in HvKind::ALL {
         let mut sim = SimBuilder::new(kind).build().unwrap();
         workloads::run(sim.as_dyn_mut(), mix, VirqPolicy::Vcpu0)
             .unwrap_or_else(|e| panic!("{kind}: {e}"));
