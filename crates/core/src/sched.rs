@@ -58,15 +58,6 @@ impl SchedPolicy {
             .find(|p| p.name() == s)
             .ok_or_else(|| Error::UnknownScheduler { name: s.into() })
     }
-
-    /// Constructs the scheduler this policy names, as a trait object
-    /// ready to have vCPUs registered.
-    pub fn make(self) -> Box<dyn VcpuScheduler> {
-        match self {
-            SchedPolicy::Credit => Box::new(CreditVcpuSched::new()),
-            SchedPolicy::Cfs => Box::new(CfsScheduler::new()),
-        }
-    }
 }
 
 impl fmt::Display for SchedPolicy {
@@ -123,6 +114,7 @@ pub const CYCLES_PER_CREDIT: u64 = ACCT_PERIOD.as_u64() / CREDITS_PER_PERIOD as 
 /// # Panics
 ///
 /// Panics if `id` is not registered.
+#[inline]
 fn slot<E>(entries: &[E], id: usize, id_of: impl Fn(&E) -> usize) -> usize {
     match entries.get(id) {
         Some(e) if id_of(e) == id => id,
@@ -167,32 +159,42 @@ impl VcpuScheduler for CreditVcpuSched {
         // boost-on-wake (which needs credit) never engages.
         self.inner.account();
     }
+    #[inline]
     fn current(&self) -> Option<usize> {
         self.inner.current()
     }
+    #[inline]
     fn pick(&mut self) -> Option<usize> {
         self.inner.pick()
     }
+    #[inline]
     fn charge_cycles(&mut self, id: usize, cycles: u64) {
         let total = self.acc[id] + cycles;
-        self.acc[id] = total % CYCLES_PER_CREDIT;
-        let credits = (total / CYCLES_PER_CREDIT) as i64;
-        if credits > 0 {
-            self.inner.charge(id, credits);
+        if total < CYCLES_PER_CREDIT {
+            // No credit boundary crossed: the common case, no division.
+            self.acc[id] = total;
+            return;
         }
+        self.acc[id] = total % CYCLES_PER_CREDIT;
+        self.inner.charge(id, (total / CYCLES_PER_CREDIT) as i64);
     }
+    #[inline]
     fn block(&mut self, id: usize) {
         self.inner.block(id);
     }
+    #[inline]
     fn wake(&mut self, id: usize) -> bool {
         self.inner.wake(id)
     }
+    #[inline]
     fn yield_current(&mut self) {
         self.inner.yield_current();
     }
+    #[inline]
     fn tick(&mut self) {
         self.inner.account();
     }
+    #[inline]
     fn switch_count(&self) -> u64 {
         self.inner.switch_count()
     }
@@ -256,11 +258,13 @@ impl CfsScheduler {
         CfsScheduler::default()
     }
 
+    #[inline]
     fn entry_mut(&mut self, id: usize) -> &mut CfsEntry {
         let i = slot(&self.entries, id, |e| e.id);
         &mut self.entries[i]
     }
 
+    #[inline]
     fn entry(&self, id: usize) -> &CfsEntry {
         &self.entries[slot(&self.entries, id, |e| e.id)]
     }
@@ -286,10 +290,12 @@ impl VcpuScheduler for CfsScheduler {
         });
     }
 
+    #[inline]
     fn current(&self) -> Option<usize> {
         self.current
     }
 
+    #[inline]
     fn pick(&mut self) -> Option<usize> {
         let best = self
             .entries
@@ -307,11 +313,13 @@ impl VcpuScheduler for CfsScheduler {
         picked
     }
 
+    #[inline]
     fn charge_cycles(&mut self, id: usize, cycles: u64) {
         let e = self.entry_mut(id);
         e.vruntime += cycles * NICE0_WEIGHT / u64::from(e.weight);
     }
 
+    #[inline]
     fn block(&mut self, id: usize) {
         self.entry_mut(id).runnable = false;
         if self.current == Some(id) {
@@ -319,6 +327,7 @@ impl VcpuScheduler for CfsScheduler {
         }
     }
 
+    #[inline]
     fn wake(&mut self, id: usize) -> bool {
         let floor = self.min_vruntime.saturating_sub(WAKEUP_BONUS);
         let current_v = self.current.map(|c| self.entry(c).vruntime);
@@ -337,15 +346,18 @@ impl VcpuScheduler for CfsScheduler {
         }
     }
 
+    #[inline]
     fn yield_current(&mut self) {
         self.current = None;
     }
 
+    #[inline]
     fn tick(&mut self) {
         // CFS accounts continuously in charge_cycles; the periodic tick
         // has no batch refill to perform.
     }
 
+    #[inline]
     fn switch_count(&self) -> u64 {
         self.switches
     }
@@ -362,32 +374,49 @@ pub enum CreditPriority {
     Over,
 }
 
-/// One schedulable VCPU.
+/// One schedulable VCPU's credit account. Its run state lives in the
+/// runqueue's parallel `keys`.
 #[derive(Debug, Clone)]
 struct Entry {
     id: usize,
     weight: u32,
     credit: i64,
-    priority: CreditPriority,
-    runnable: bool,
-    /// FIFO position within a priority class: the order of
-    /// registration, renewed each time the VCPU yields (the back of the
-    /// queue). Unique per runqueue, and below 2^62.
-    seq: u64,
     /// Credit refilled per accounting period: its weight's share of
     /// [`CREDITS_PER_PERIOD`].
     share: i64,
 }
 
-impl Entry {
-    /// [`CreditScheduler::pick`]'s order as one integer: priority class,
-    /// then FIFO position; blocked VCPUs sort last.
-    fn pick_key(&self) -> u64 {
-        if self.runnable {
-            ((self.priority as u64) << 62) | self.seq
-        } else {
-            u64::MAX
-        }
+/// Pick-key bit set while a VCPU is blocked: it sorts after every
+/// runnable one.
+const BLOCKED: u64 = 1 << 63;
+/// Pick-key bits 61–62 hold the [`CreditPriority`] class.
+const PRIO_SHIFT: u32 = 61;
+/// Pick-key bits 0–60 hold the FIFO sequence number.
+const SEQ_MASK: u64 = (1 << PRIO_SHIFT) - 1;
+
+/// `key` with its priority class replaced by `priority`.
+#[inline]
+fn with_priority(key: u64, priority: CreditPriority) -> u64 {
+    (key & !(3 << PRIO_SHIFT)) | ((priority as u64) << PRIO_SHIFT)
+}
+
+/// The priority class recorded in `key`.
+#[inline]
+fn priority_of_key(key: u64) -> CreditPriority {
+    match (key >> PRIO_SHIFT) & 3 {
+        0 => CreditPriority::Boost,
+        1 => CreditPriority::Under,
+        _ => CreditPriority::Over,
+    }
+}
+
+/// UNDER with credit left, OVER without.
+#[inline]
+fn class_of(credit: i64) -> CreditPriority {
+    if credit > 0 {
+        CreditPriority::Under
+    } else {
+        CreditPriority::Over
     }
 }
 
@@ -417,10 +446,20 @@ pub const CREDITS_PER_PERIOD: i64 = 300;
 #[derive(Debug, Clone, Default)]
 pub struct CreditScheduler {
     entries: Vec<Entry>,
+    /// Each entry's run state as one integer in [`CreditScheduler::pick`]
+    /// order, kept densely beside `entries` so a pick scans nothing
+    /// else: the [`BLOCKED`] bit, the priority class, then the FIFO
+    /// sequence number (the order of registration, renewed each time
+    /// the VCPU yields — the back of the queue; unique per runqueue).
+    keys: Vec<u64>,
     /// The next FIFO sequence number to hand out.
     next_seq: u64,
     current: Option<usize>,
     switches: u64,
+    /// Every entry holds exactly [`CREDITS_PER_PERIOD`], so an
+    /// accounting pass would change nothing: it refills to the cap, and
+    /// a capped entry is already UNDER or BOOST.
+    settled: bool,
 }
 
 impl CreditScheduler {
@@ -445,51 +484,74 @@ impl CreditScheduler {
             id,
             weight,
             credit: 0,
-            priority: CreditPriority::Under,
-            runnable: true,
-            seq,
             share: 0,
         });
+        self.keys.push(with_priority(seq, CreditPriority::Under));
+        self.settled = false;
         let total_weight: i64 = self.entries.iter().map(|e| i64::from(e.weight)).sum();
         for e in &mut self.entries {
             e.share = CREDITS_PER_PERIOD * i64::from(e.weight) / total_weight;
         }
     }
 
+    #[inline]
     fn take_seq(&mut self) -> u64 {
         self.next_seq += 1;
-        debug_assert!(self.next_seq < 1 << 62, "FIFO sequence overflows pick_key");
+        debug_assert!(
+            self.next_seq <= SEQ_MASK,
+            "FIFO sequence overflows the pick key"
+        );
         self.next_seq
     }
 
-    fn entry_mut(&mut self, id: usize) -> &mut Entry {
-        let i = slot(&self.entries, id, |e| e.id);
-        &mut self.entries[i]
-    }
-
-    fn entry(&self, id: usize) -> &Entry {
-        &self.entries[slot(&self.entries, id, |e| e.id)]
+    /// Position of `id` in `entries` and `keys`.
+    #[inline]
+    fn index(&self, id: usize) -> usize {
+        slot(&self.entries, id, |e| e.id)
     }
 
     /// The VCPU currently on the CPU, if any.
+    #[inline]
     pub fn current(&self) -> Option<usize> {
         self.current
     }
 
     /// Number of context switches performed so far.
+    #[inline]
     pub fn switch_count(&self) -> u64 {
         self.switches
     }
 
     /// Picks the next VCPU to run: highest priority class first, FIFO
     /// within a class; `None` means the idle domain runs.
+    #[inline]
     pub fn pick(&mut self) -> Option<usize> {
-        let picked = self
-            .entries
-            .iter()
-            .min_by_key(|e| e.pick_key())
-            .filter(|e| e.runnable)
-            .map(|e| e.id);
+        // Keys are unique (every entry has its own sequence number), so
+        // two interleaved minimum chains combine in either order.
+        let (mut best, mut best_key) = (0, u64::MAX);
+        let (mut odd, mut odd_key) = (0, u64::MAX);
+        let mut pairs = self.keys.chunks_exact(2);
+        for (j, pair) in pairs.by_ref().enumerate() {
+            if pair[0] < best_key {
+                best = 2 * j;
+                best_key = pair[0];
+            }
+            if pair[1] < odd_key {
+                odd = 2 * j + 1;
+                odd_key = pair[1];
+            }
+        }
+        if let [last] = pairs.remainder() {
+            if *last < odd_key {
+                odd = self.keys.len() - 1;
+                odd_key = *last;
+            }
+        }
+        if odd_key < best_key {
+            best = odd;
+            best_key = odd_key;
+        }
+        let picked = (best_key & BLOCKED == 0).then(|| self.entries[best].id);
         if picked != self.current {
             self.switches += 1;
         }
@@ -508,20 +570,23 @@ impl CreditScheduler {
     /// moment it is dispatched. Neither the accounting tick nor a timer
     /// preemption clears BOOST, so a boosted vCPU can outrank UNDER
     /// ones for up to one credit's worth of run time.
+    #[inline]
     pub fn charge(&mut self, id: usize, credits: i64) {
-        let e = self.entry_mut(id);
+        let i = self.index(id);
+        let e = &mut self.entries[i];
         e.credit -= credits;
-        e.priority = if e.credit > 0 {
-            CreditPriority::Under
-        } else {
-            CreditPriority::Over
-        };
+        if e.credit != CREDITS_PER_PERIOD {
+            self.settled = false;
+        }
+        self.keys[i] = with_priority(self.keys[i], class_of(e.credit));
     }
 
     /// The VCPU blocks (WFI / waiting for I/O): it leaves the runqueue
     /// until woken. If it was current, the CPU goes idle.
+    #[inline]
     pub fn block(&mut self, id: usize) {
-        self.entry_mut(id).runnable = false;
+        let i = self.index(id);
+        self.keys[i] |= BLOCKED;
         if self.current == Some(id) {
             self.current = None;
         }
@@ -531,57 +596,66 @@ impl CreditScheduler {
     /// latency hack that lets I/O domains preempt batch work, central to
     /// Dom0's behaviour in the paper's I/O paths. Returns `true` if the
     /// woken VCPU should preempt the current one.
+    #[inline]
     pub fn wake(&mut self, id: usize) -> bool {
-        let current_prio = self.current.map(|c| self.entry(c).priority);
-        let e = self.entry_mut(id);
-        if e.runnable {
+        let current_prio = self
+            .current
+            .map(|c| priority_of_key(self.keys[self.index(c)]));
+        let i = self.index(id);
+        let mut key = self.keys[i];
+        if key & BLOCKED == 0 {
             return false;
         }
-        e.runnable = true;
-        if e.credit > 0 {
-            e.priority = CreditPriority::Boost;
+        key &= !BLOCKED;
+        if self.entries[i].credit > 0 {
+            key = with_priority(key, CreditPriority::Boost);
         }
-        let woken_prio = e.priority;
+        self.keys[i] = key;
         match current_prio {
             None => true,
-            Some(cp) => woken_prio < cp,
+            Some(cp) => priority_of_key(key) < cp,
         }
     }
 
     /// The current VCPU voluntarily yields: it moves to the back of the
     /// queue.
+    #[inline]
     pub fn yield_current(&mut self) {
         if let Some(id) = self.current.take() {
             let seq = self.take_seq();
-            self.entry_mut(id).seq = seq;
+            let i = self.index(id);
+            self.keys[i] = (self.keys[i] & !SEQ_MASK) | seq;
         }
     }
 
     /// The periodic accounting tick: distributes [`CREDITS_PER_PERIOD`]
     /// in proportion to weight, capping hoarded credit (Xen caps at one
     /// period's worth) and restoring UNDER to everyone with positive
-    /// credit.
+    /// credit. A no-op while every VCPU sits at the cap.
+    #[inline]
     pub fn account(&mut self) {
-        for e in &mut self.entries {
+        if self.settled {
+            return;
+        }
+        let mut settled = true;
+        for (e, key) in self.entries.iter_mut().zip(&mut self.keys) {
             e.credit = (e.credit + e.share).min(CREDITS_PER_PERIOD);
-            if e.priority != CreditPriority::Boost {
-                e.priority = if e.credit > 0 {
-                    CreditPriority::Under
-                } else {
-                    CreditPriority::Over
-                };
+            settled &= e.credit == CREDITS_PER_PERIOD;
+            if priority_of_key(*key) != CreditPriority::Boost {
+                *key = with_priority(*key, class_of(e.credit));
             }
         }
+        self.settled = settled;
     }
 
     /// Current credit of a VCPU (for tests and the ablation report).
     pub fn credit_of(&self, id: usize) -> i64 {
-        self.entry(id).credit
+        self.entries[self.index(id)].credit
     }
 
     /// Current priority class of a VCPU.
     pub fn priority_of(&self, id: usize) -> CreditPriority {
-        self.entry(id).priority
+        priority_of_key(self.keys[self.index(id)])
     }
 }
 

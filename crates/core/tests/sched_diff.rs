@@ -7,11 +7,13 @@
 //! runqueue that scans linearly. Random operation sequences over 1–32
 //! vCPUs with mixed weights — registered densely from 0, densely out of
 //! order, or sparsely — must give identical return values and identical
-//! per-vCPU state after every operation.
+//! per-vCPU state after every operation. `CreditVcpuSched`'s cycle
+//! accounting is checked the same way against a conversion that divides
+//! on every charge, with the credit boundaries pinned case by case.
 
 use hvx_core::sched::{
-    CfsScheduler, CreditPriority, CreditScheduler, VcpuScheduler, CREDITS_PER_PERIOD, NICE0_WEIGHT,
-    PREEMPT_GRANULARITY, WAKEUP_BONUS,
+    CfsScheduler, CreditPriority, CreditScheduler, CreditVcpuSched, VcpuScheduler,
+    CREDITS_PER_PERIOD, CYCLES_PER_CREDIT, NICE0_WEIGHT, PREEMPT_GRANULARITY, WAKEUP_BONUS,
 };
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -142,6 +144,135 @@ impl RefCredit {
             }
         }
     }
+}
+
+/// Reference for `CreditVcpuSched`'s cycle accounting: every charge
+/// divides its running total into whole credits and a remainder.
+#[derive(Debug, Default)]
+struct RefCreditCycles {
+    sched: RefCredit,
+    acc: Vec<u64>,
+}
+
+impl RefCreditCycles {
+    fn add_vcpu(&mut self, id: usize, weight: u32) {
+        self.sched.add_vcpu(id, weight);
+        if self.acc.len() <= id {
+            self.acc.resize(id + 1, 0);
+        }
+        self.sched.account();
+    }
+
+    fn charge_cycles(&mut self, id: usize, cycles: u64) {
+        let total = self.acc[id] + cycles;
+        self.acc[id] = total % CYCLES_PER_CREDIT;
+        let credits = (total / CYCLES_PER_CREDIT) as i64;
+        if credits > 0 {
+            self.sched.charge(id, credits);
+        }
+    }
+}
+
+/// A two-vCPU credit runqueue and its reference with vCPU 0 woken into
+/// BOOST, so a charge that crosses no credit boundary visibly keeps it.
+fn boosted_credit_pair() -> (CreditVcpuSched, RefCreditCycles) {
+    let mut fast = CreditVcpuSched::new();
+    let mut reference = RefCreditCycles::default();
+    for id in 0..2 {
+        fast.add_vcpu(id, 256);
+        reference.add_vcpu(id, 256);
+    }
+    fast.block(0);
+    reference.sched.block(0);
+    assert!(fast.wake(0));
+    assert!(reference.sched.wake(0));
+    assert_eq!(fast.inner().priority_of(0), CreditPriority::Boost);
+    (fast, reference)
+}
+
+/// Charges vCPU 0 each of `cycles` in turn on both runqueues, checking
+/// credit and priority after every charge; returns the fast one.
+fn charge_both(cycles: &[u64]) -> CreditVcpuSched {
+    let (mut fast, mut reference) = boosted_credit_pair();
+    for (step, &c) in cycles.iter().enumerate() {
+        fast.charge_cycles(0, c);
+        reference.charge_cycles(0, c);
+        for v in 0..2 {
+            let want = reference.sched.entry(v);
+            assert_eq!(
+                fast.inner().credit_of(v),
+                want.credit,
+                "{cycles:?} step {step} vcpu {v}"
+            );
+            assert_eq!(
+                fast.inner().priority_of(v),
+                want.priority,
+                "{cycles:?} step {step} vcpu {v}"
+            );
+        }
+    }
+    fast
+}
+
+#[test]
+fn zero_cycle_charges_change_nothing() {
+    let credit = CREDITS_PER_PERIOD; // vCPU 0 starts at the cap
+    let s = charge_both(&[0, 0, 0]);
+    assert_eq!(s.inner().credit_of(0), credit);
+    assert_eq!(s.inner().priority_of(0), CreditPriority::Boost);
+}
+
+#[test]
+fn exactly_one_credit_of_cycles_charges_one_credit() {
+    assert_eq!(CYCLES_PER_CREDIT, 240_000);
+    let credit = CREDITS_PER_PERIOD; // vCPU 0 starts at the cap
+    let s = charge_both(&[CYCLES_PER_CREDIT - 1]);
+    assert_eq!(
+        s.inner().credit_of(0),
+        credit,
+        "one cycle short: no credit yet"
+    );
+    assert_eq!(s.inner().priority_of(0), CreditPriority::Boost);
+    let s = charge_both(&[CYCLES_PER_CREDIT]);
+    assert_eq!(s.inner().credit_of(0), credit - 1);
+    assert_eq!(s.inner().priority_of(0), CreditPriority::Under);
+    // The boundary left no remainder: one cycle short of the next.
+    let s = charge_both(&[CYCLES_PER_CREDIT, CYCLES_PER_CREDIT - 1]);
+    assert_eq!(s.inner().credit_of(0), credit - 1);
+}
+
+#[test]
+fn multi_credit_charges_charge_every_whole_credit() {
+    let credit = CREDITS_PER_PERIOD; // vCPU 0 starts at the cap
+    let s = charge_both(&[4 * CYCLES_PER_CREDIT + 40_000]);
+    assert_eq!(s.inner().credit_of(0), credit - 4);
+    // The 40,000-cycle remainder carries: 200,000 more is one credit.
+    let s = charge_both(&[4 * CYCLES_PER_CREDIT + 40_000, 200_000]);
+    assert_eq!(s.inner().credit_of(0), credit - 5);
+    // A charge past the whole account drops the vCPU to OVER.
+    let s = charge_both(&[(credit as u64 + 3) * CYCLES_PER_CREDIT + 7]);
+    assert_eq!(s.inner().credit_of(0), -3);
+    assert_eq!(s.inner().priority_of(0), CreditPriority::Over);
+}
+
+#[test]
+fn remainders_roll_over_across_charges() {
+    let credit = CREDITS_PER_PERIOD; // vCPU 0 starts at the cap
+    let s = charge_both(&[CYCLES_PER_CREDIT - 1, 1]);
+    assert_eq!(s.inner().credit_of(0), credit - 1);
+    let s = charge_both(&[200_000, 200_000, 80_000]);
+    assert_eq!(
+        s.inner().credit_of(0),
+        credit - 2,
+        "400,000 then 480,000 cycles"
+    );
+    let s = charge_both(&[CYCLES_PER_CREDIT - 1, CYCLES_PER_CREDIT + 1]);
+    assert_eq!(s.inner().credit_of(0), credit - 2);
+    // Many sub-credit charges cost exactly what one big one does.
+    let small = charge_both(&[30_000; 17]);
+    let big = charge_both(&[17 * 30_000]);
+    assert_eq!(small.inner().credit_of(0), big.inner().credit_of(0));
+    assert_eq!(small.inner().credit_of(0), credit - 2);
 }
 
 #[derive(Debug, Clone)]
@@ -315,6 +446,44 @@ proptest! {
             for &v in &ids[..registered] {
                 prop_assert_eq!(fast.credit_of(v), reference.entry(v).credit, "step {} vcpu {}", step, v);
                 prop_assert_eq!(fast.priority_of(v), reference.entry(v).priority, "step {} vcpu {}", step, v);
+            }
+        }
+    }
+
+    /// `CreditVcpuSched::charge_cycles` agrees with the dividing
+    /// reference on charges clustered around the credit boundaries,
+    /// interleaved with the accounting tick.
+    #[test]
+    fn credit_cycles_match_reference(
+        ops in prop::collection::vec((0u8..8, 0usize..3, any::<u64>()), 1..300),
+    ) {
+        let mut fast = CreditVcpuSched::new();
+        let mut reference = RefCreditCycles::default();
+        for id in 0..3 {
+            fast.add_vcpu(id, 256);
+            reference.add_vcpu(id, 256);
+        }
+        for (step, &(op, id, x)) in ops.iter().enumerate() {
+            let cycles = match op {
+                0 => 0,
+                1 => CYCLES_PER_CREDIT - 1,
+                2 => CYCLES_PER_CREDIT,
+                3 => CYCLES_PER_CREDIT + 1,
+                4 => (x % 5) * CYCLES_PER_CREDIT + x % 3,
+                5 => x % CYCLES_PER_CREDIT,
+                6 => {
+                    fast.tick();
+                    reference.sched.account();
+                    continue;
+                }
+                _ => x % (8 * CYCLES_PER_CREDIT),
+            };
+            fast.charge_cycles(id, cycles);
+            reference.charge_cycles(id, cycles);
+            for v in 0..3 {
+                let want = reference.sched.entry(v);
+                prop_assert_eq!(fast.inner().credit_of(v), want.credit, "step {} vcpu {}", step, v);
+                prop_assert_eq!(fast.inner().priority_of(v), want.priority, "step {} vcpu {}", step, v);
             }
         }
     }

@@ -196,6 +196,7 @@ impl Machine {
     /// e.g. a register write that is free but architecturally significant).
     ///
     /// Returns the instant the work completed.
+    #[inline]
     pub fn charge(
         &mut self,
         core: CoreId,
@@ -203,7 +204,35 @@ impl Machine {
         kind: TraceKind,
         cost: Cycles,
     ) -> Cycles {
+        if self.unobserved() {
+            return self.charge_fast(core, cost);
+        }
         self.charge_inner(core, label, kind, cost, None)
+    }
+
+    /// Whether nothing observes individual charges: no trace, profiler,
+    /// event tracer or loop session is live. Read on every charge rather
+    /// than cached, because [`Machine::trace_mut`] can re-enable the
+    /// trace at any point.
+    #[inline]
+    fn unobserved(&self) -> bool {
+        !self.trace.is_enabled()
+            && self.profiler.is_none()
+            && self.events.is_none()
+            && self.loop_state.is_none()
+    }
+
+    /// A charge with no observer: exactly the clock, busy, transition
+    /// counter and watchdog work of [`Machine::charge_inner`].
+    #[inline]
+    fn charge_fast(&mut self, core: CoreId, cost: Cycles) -> Cycles {
+        let i = core.index();
+        let end = self.clocks[i] + cost;
+        self.clocks[i] = end;
+        self.busy[i] += cost;
+        TRANSITIONS.with(|t| t.set(t.get().wrapping_add(1)));
+        self.watchdog_tick(cost);
+        end
     }
 
     fn charge_inner(
@@ -275,7 +304,22 @@ impl Machine {
     /// Spends `cost` cycles attributed to transition `id`: shorthand
     /// for a single-charge span (`span_enter(id)`, [`Machine::charge`],
     /// `span_exit(id)`).
+    #[inline]
     pub fn charge_as(
+        &mut self,
+        core: CoreId,
+        label: &'static str,
+        kind: TraceKind,
+        cost: Cycles,
+        id: TransitionId,
+    ) -> Cycles {
+        if self.unobserved() {
+            return self.charge_fast(core, cost);
+        }
+        self.charge_as_observed(core, label, kind, cost, id)
+    }
+
+    fn charge_as_observed(
         &mut self,
         core: CoreId,
         label: &'static str,
@@ -991,6 +1035,143 @@ mod tests {
         assert_eq!(m.assert_conservation(), Cycles::new(400));
     }
 
+    /// One charge/signal/wait sequence through both charge entry points,
+    /// zero-cost charges included.
+    fn charge_sequence(m: &mut Machine) {
+        let (a, b) = (CoreId::new(0), CoreId::new(1));
+        for i in 0..40u64 {
+            m.charge(a, "guest:work", TraceKind::Guest, Cycles::new(100 + i));
+            m.charge_as(
+                a,
+                "gicd:sgir",
+                TraceKind::Emulation,
+                Cycles::new(i % 3 * 40),
+                TransitionId::GicdEmulate,
+            );
+            let arrival = m.signal(a, b, Cycles::new(600));
+            m.wait_until(b, arrival);
+            m.charge_as(
+                b,
+                "virq:ack",
+                TraceKind::Emulation,
+                Cycles::new(70),
+                TransitionId::VirqInject,
+            );
+        }
+    }
+
+    /// Machines that take the unobserved charge path (the first) and
+    /// every observed one.
+    fn charge_path_machines() -> Vec<(&'static str, Machine)> {
+        let topo = || Topology::split(2, 1);
+        let with = |f: fn(&mut Machine)| {
+            let mut m = Machine::without_tracing(topo());
+            f(&mut m);
+            m
+        };
+        vec![
+            ("no hooks", Machine::without_tracing(topo())),
+            ("aggregate trace", Machine::with_aggregate_trace(topo())),
+            ("full trace", Machine::new(topo())),
+            ("profiling", with(|m| m.enable_profiling())),
+            ("event tracing", with(|m| m.enable_event_tracing(None))),
+            (
+                "loop session",
+                with(|m| {
+                    assert!(m.loop_begin());
+                    m.loop_iter_begin();
+                }),
+            ),
+            (
+                "cycle budget",
+                with(|m| {
+                    m.set_watchdog(Watchdog {
+                        cycle_budget: Some(u64::MAX - 1),
+                        livelock_threshold: None,
+                    })
+                }),
+            ),
+        ]
+    }
+
+    #[test]
+    fn unobserved_and_observed_charges_keep_identical_time() {
+        let mut want = None;
+        for (name, mut m) in charge_path_machines() {
+            let before = thread_transitions();
+            charge_sequence(&mut m);
+            let got = (
+                m.clocks.clone(),
+                m.busy.clone(),
+                m.total_charged,
+                m.zero_streak,
+                thread_transitions().wrapping_sub(before),
+            );
+            assert_eq!(got.4, 120, "{name}: one transition per charge");
+            match &want {
+                None => want = Some(got),
+                Some(w) => assert_eq!(&got, w, "{name} diverged from the unobserved path"),
+            }
+            if name == "loop session" {
+                assert!(m.loop_recording(), "the session must still be recording");
+            }
+        }
+    }
+
+    #[test]
+    fn trace_re_enabled_mid_run_records() {
+        let mut m = Machine::without_tracing(Topology::split(2, 1));
+        charge_sequence(&mut m);
+        assert!(m.trace().is_empty());
+        m.trace_mut().set_enabled(true);
+        m.charge(CoreId::new(0), "late", TraceKind::Guest, Cycles::new(10));
+        m.charge_as(
+            CoreId::new(1),
+            "late:as",
+            TraceKind::Sched,
+            Cycles::new(20),
+            TransitionId::Sched,
+        );
+        let labels: Vec<_> = m.trace().events().iter().map(|e| e.label).collect();
+        assert_eq!(labels, ["late", "late:as"]);
+        m.trace_mut().set_mode(crate::TraceMode::Aggregate);
+        m.charge(CoreId::new(0), "late", TraceKind::Guest, Cycles::new(5));
+        assert_eq!(m.trace().total_by_label("late"), Cycles::new(15));
+    }
+
+    #[test]
+    fn cycle_budget_trips_at_the_same_charge_on_every_path() {
+        use crate::fault::CycleBudgetExceeded;
+        let mut want = None;
+        for (name, mut m) in charge_path_machines() {
+            if name == "cycle budget" {
+                continue;
+            }
+            m.set_watchdog(Watchdog {
+                cycle_budget: Some(5_000),
+                livelock_threshold: None,
+            });
+            let before = thread_transitions();
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                charge_sequence(&mut m);
+            }))
+            .expect_err("budget must trip");
+            let reached = payload
+                .downcast_ref::<CycleBudgetExceeded>()
+                .expect("typed payload")
+                .reached;
+            let got = (
+                reached,
+                thread_transitions().wrapping_sub(before),
+                m.clocks.clone(),
+            );
+            match &want {
+                None => want = Some(got),
+                Some(w) => assert_eq!(&got, w, "{name}: budget tripped elsewhere"),
+            }
+        }
+    }
+
     #[test]
     fn fault_consult_without_plan_is_false_and_free() {
         let mut m = two_core_machine();
@@ -1267,7 +1448,7 @@ mod tests {
     #[test]
     fn loop_replay_handles_period_two() {
         let body = |m: &mut Machine, i: u64| {
-            let cost = if i % 2 == 0 { 700 } else { 900 };
+            let cost = if i.is_multiple_of(2) { 700 } else { 900 };
             m.charge(CoreId::new(0), "alt", TraceKind::Guest, Cycles::new(cost));
             ping_pong(m, i);
         };

@@ -27,6 +27,9 @@ struct IrqState {
     priority: u8,
 }
 
+/// CPU interfaces a GICv2 distributor can serve.
+const MAX_CPUS: usize = 8;
+
 /// Result of a guest (or host) write to the distributor's MMIO space:
 /// side effects the caller — a hypervisor — must carry out on the
 /// simulated machine.
@@ -35,7 +38,84 @@ pub struct MmioEffect {
     /// SGIs that became pending on other CPUs and require a physical IPI
     /// (or, for an emulated distributor, a virtual-IPI injection) to each
     /// listed `(cpu, sgi)` pair.
-    pub sgi_targets: Vec<(usize, IntId)>,
+    pub sgi_targets: SgiTargets,
+}
+
+/// The `(cpu, sgi)` pairs one `GICD_SGIR` write made pending, in
+/// ascending CPU order. A fixed set with room for every CPU a GICv2
+/// distributor can serve, so an SGI fan-out never allocates.
+///
+/// # Examples
+///
+/// ```
+/// use hvx_gic::{dist_reg, Distributor, IntId};
+///
+/// let mut gic = Distributor::new(4, 0);
+/// // SGI 5 to CPUs 1 and 3.
+/// let effect = gic
+///     .mmio_write(dist_reg::GICD_SGIR, (5 << 24) | (0b1010 << 16), 0)
+///     .unwrap();
+/// assert_eq!(effect.sgi_targets.len(), 2);
+/// assert_eq!(effect.sgi_targets, vec![(1, IntId::sgi(5)), (3, IntId::sgi(5))]);
+/// ```
+#[derive(Clone, PartialEq, Eq)]
+pub struct SgiTargets {
+    /// Filled in order from the front; the unused tail stays at its
+    /// default, so the derived equality compares only what was pushed.
+    pairs: [(usize, IntId); MAX_CPUS],
+    len: u8,
+}
+
+impl SgiTargets {
+    /// Number of CPUs targeted.
+    #[inline]
+    pub fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// Whether the write targeted no CPU.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[(usize, IntId)] {
+        &self.pairs[..self.len()]
+    }
+
+    /// Iterates over the targeted `(cpu, sgi)` pairs.
+    #[inline]
+    pub fn iter(&self) -> core::slice::Iter<'_, (usize, IntId)> {
+        self.as_slice().iter()
+    }
+
+    #[inline]
+    fn push(&mut self, cpu: usize, sgi: IntId) {
+        self.pairs[self.len()] = (cpu, sgi);
+        self.len += 1;
+    }
+}
+
+impl Default for SgiTargets {
+    fn default() -> Self {
+        SgiTargets {
+            pairs: [(0, IntId::from_raw(0)); MAX_CPUS],
+            len: 0,
+        }
+    }
+}
+
+impl fmt::Debug for SgiTargets {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq<Vec<(usize, IntId)>> for SgiTargets {
+    fn eq(&self, other: &Vec<(usize, IntId)>) -> bool {
+        self.as_slice() == other.as_slice()
+    }
 }
 
 /// Errors from distributor operations.
@@ -152,7 +232,10 @@ impl Distributor {
     ///
     /// Panics if `num_cpus` is 0 or greater than 8 (GICv2 limit).
     pub fn new(num_cpus: usize, num_spis: usize) -> Self {
-        assert!(num_cpus > 0 && num_cpus <= 8, "GICv2 supports 1-8 CPUs");
+        assert!(
+            num_cpus > 0 && num_cpus <= MAX_CPUS,
+            "GICv2 supports 1-8 CPUs"
+        );
         let default = IrqState {
             priority: 0xA0,
             ..IrqState::default()
@@ -434,7 +517,7 @@ impl Distributor {
                     };
                     if hit {
                         self.raise(sgi, cpu)?;
-                        effect.sgi_targets.push((cpu, sgi));
+                        effect.sgi_targets.push(cpu, sgi);
                     }
                 }
             }

@@ -17,6 +17,17 @@ use std::time::Duration;
 /// memory before admission control even sees the job.
 pub const MAX_BODY: usize = 1 << 20;
 
+/// Upper bound on the request line and on each header line, in bytes
+/// (line terminator included).
+pub const MAX_LINE: usize = 8 << 10;
+
+/// Upper bound on the whole request head — request line plus header
+/// lines — in bytes.
+pub const MAX_HEAD: usize = 64 << 10;
+
+/// Upper bound on the number of header lines.
+pub const MAX_HEADERS: usize = 100;
+
 /// One parsed request.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -40,55 +51,138 @@ impl Request {
     }
 }
 
-/// Reads and parses one request from `stream`.
+/// Why [`read_request`] refused a request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RequestError {
+    /// The request line, a header line, the whole head or the header
+    /// count broke its limit ([`MAX_LINE`], [`MAX_HEAD`],
+    /// [`MAX_HEADERS`]); nothing past the limit was read.
+    HeadTooLarge(String),
+    /// Malformed framing, an over-limit body, or an I/O failure.
+    Malformed(String),
+}
+
+impl RequestError {
+    /// The HTTP status that answers this error: 431 (Request Header
+    /// Fields Too Large) or 400.
+    pub fn status(&self) -> u16 {
+        match self {
+            RequestError::HeadTooLarge(_) => 431,
+            RequestError::Malformed(_) => 400,
+        }
+    }
+
+    /// Stable machine-readable error kind for the response body.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            RequestError::HeadTooLarge(_) => "head-too-large",
+            RequestError::Malformed(_) => "bad-request",
+        }
+    }
+
+    /// The human-readable detail.
+    pub fn detail(&self) -> &str {
+        match self {
+            RequestError::HeadTooLarge(d) | RequestError::Malformed(d) => d,
+        }
+    }
+}
+
+impl std::fmt::Display for RequestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.detail())
+    }
+}
+
+impl std::error::Error for RequestError {}
+
+/// Reads one request-head line of at most [`MAX_LINE`] bytes, counting
+/// it against the head's [`MAX_HEAD`] budget in `head`. Returns the
+/// line without its terminator; an empty string at end of stream.
+fn read_head_line(
+    reader: &mut impl BufRead,
+    head: &mut usize,
+    what: &str,
+) -> Result<String, RequestError> {
+    let mut buf = Vec::new();
+    let n = reader
+        .take(MAX_LINE as u64 + 1)
+        .read_until(b'\n', &mut buf)
+        .map_err(|e| RequestError::Malformed(format!("read {what}: {e}")))?;
+    if n > MAX_LINE {
+        return Err(RequestError::HeadTooLarge(format!(
+            "{what} exceeds the {MAX_LINE}-byte line limit"
+        )));
+    }
+    *head += n;
+    if *head > MAX_HEAD {
+        return Err(RequestError::HeadTooLarge(format!(
+            "request head exceeds the {MAX_HEAD}-byte limit"
+        )));
+    }
+    let line = String::from_utf8(buf)
+        .map_err(|_| RequestError::Malformed(format!("{what} is not UTF-8")))?;
+    Ok(line.trim_end().to_string())
+}
+
+/// Reads and parses one request from `stream`, reading no more of the
+/// head than its limits allow.
 ///
 /// # Errors
 ///
-/// A human-readable message for malformed request lines, missing or
+/// [`RequestError::HeadTooLarge`] when the request line, a header line,
+/// the whole head or the header count is over its limit;
+/// [`RequestError::Malformed`] for malformed request lines, missing or
 /// unparsable `Content-Length`, over-limit bodies, and I/O failures.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read request line: {e}"))?;
+    let mut head = 0;
+    let line = read_head_line(&mut reader, &mut head, "request line")?;
+    let bad = |m: &str| RequestError::Malformed(m.to_string());
     let mut parts = line.split_whitespace();
-    let method = parts.next().ok_or("empty request line")?.to_string();
-    let target = parts.next().ok_or("request line missing a target")?;
+    let method = parts
+        .next()
+        .ok_or_else(|| bad("empty request line"))?
+        .to_string();
+    let target = parts
+        .next()
+        .ok_or_else(|| bad("request line missing a target"))?;
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), parse_query(q)),
         None => (target.to_string(), Vec::new()),
     };
 
     let mut content_length = 0usize;
+    let mut headers = 0;
     loop {
-        let mut header = String::new();
-        let n = reader
-            .read_line(&mut header)
-            .map_err(|e| format!("read header: {e}"))?;
-        let header = header.trim_end();
-        if n == 0 || header.is_empty() {
+        let header = read_head_line(&mut reader, &mut head, "header")?;
+        if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(RequestError::HeadTooLarge(format!(
+                "more than {MAX_HEADERS} header lines"
+            )));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad content-length '{}'", value.trim()))?;
+                content_length = value.trim().parse::<usize>().map_err(|_| {
+                    RequestError::Malformed(format!("bad content-length '{}'", value.trim()))
+                })?;
             }
         }
     }
     if content_length > MAX_BODY {
-        return Err(format!(
+        return Err(RequestError::Malformed(format!(
             "body of {content_length} bytes exceeds the {MAX_BODY}-byte limit"
-        ));
+        )));
     }
     let mut body = vec![0u8; content_length];
     reader
         .read_exact(&mut body)
-        .map_err(|e| format!("read body: {e}"))?;
-    let body = String::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
+        .map_err(|e| RequestError::Malformed(format!("read body: {e}")))?;
+    let body = String::from_utf8(body).map_err(|_| bad("body is not UTF-8"))?;
     Ok(Request {
         method,
         path,
@@ -128,6 +222,7 @@ pub fn write_response_typed(
         404 => "Not Found",
         409 => "Conflict",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
@@ -238,13 +333,89 @@ mod tests {
         server.join().unwrap();
     }
 
+    /// Sends `head` on a fresh connection (ignoring write errors: the
+    /// reader may stop early) and returns what `read_request` made of it.
+    fn read_sent(head: Vec<u8>) -> Result<Request, RequestError> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let _ = stream.write_all(&head);
+            // Hold the connection open until the server side is done.
+            let _ = stream.read(&mut [0u8; 1]);
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        let got = read_request(&mut stream);
+        drop(stream);
+        client.join().unwrap();
+        got
+    }
+
+    #[test]
+    fn a_newline_free_mebibyte_line_is_refused_with_431() {
+        let err = read_sent(vec![b'G'; 1 << 20]).unwrap_err();
+        assert_eq!(err.status(), 431, "{err}");
+        assert!(err.to_string().contains("request line"), "{err}");
+        let mut head = b"GET / HTTP/1.1\r\nx-long: ".to_vec();
+        head.extend(vec![b'a'; 1 << 20]);
+        let err = read_sent(head).unwrap_err();
+        assert_eq!(err.status(), 431, "{err}");
+        assert!(err.to_string().contains("header"), "{err}");
+    }
+
+    #[test]
+    fn ten_thousand_headers_are_refused_with_431() {
+        let mut head = b"GET /stats HTTP/1.1\r\n".to_vec();
+        for i in 0..10_000 {
+            head.extend(format!("x-h{i}: v\r\n").as_bytes());
+        }
+        head.extend(b"\r\n");
+        let err = read_sent(head).unwrap_err();
+        assert_eq!(err.status(), 431, "{err}");
+        assert_eq!(err.kind(), "head-too-large");
+        assert!(err.to_string().contains("header lines"), "{err}");
+    }
+
+    #[test]
+    fn many_long_headers_break_the_head_budget() {
+        // Every line is under the line limit and the count is under the
+        // header limit, but together they pass the head limit.
+        let mut head = b"GET /stats HTTP/1.1\r\n".to_vec();
+        let value = "v".repeat(MAX_LINE - 16);
+        for i in 0..MAX_HEADERS {
+            head.extend(format!("x-h{i:03}: {value}\r\n").as_bytes());
+        }
+        head.extend(b"\r\n");
+        let err = read_sent(head).unwrap_err();
+        assert_eq!(err.status(), 431, "{err}");
+        assert!(err.to_string().contains("request head"), "{err}");
+    }
+
+    #[test]
+    fn heads_at_the_limits_are_accepted() {
+        let mut head = b"GET /stats HTTP/1.1\r\n".to_vec();
+        for i in 0..MAX_HEADERS - 1 {
+            head.extend(format!("x-h{i}: v\r\n").as_bytes());
+        }
+        // The last header line is exactly MAX_LINE bytes long.
+        let prefix = b"x-last: ";
+        head.extend(prefix);
+        head.extend(vec![b'a'; MAX_LINE - prefix.len() - 2]);
+        head.extend(b"\r\n\r\n");
+        let req = read_sent(head).unwrap();
+        assert_eq!(req.method, "GET");
+        assert_eq!(req.path, "/stats");
+    }
+
     #[test]
     fn oversized_bodies_are_rejected_before_allocation() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            assert!(read_request(&mut stream).unwrap_err().contains("limit"));
+            let err = read_request(&mut stream).unwrap_err();
+            assert!(err.to_string().contains("limit"));
+            assert_eq!(err.status(), 400);
         });
         let mut stream = TcpStream::connect(addr).unwrap();
         stream

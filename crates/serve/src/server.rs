@@ -615,9 +615,9 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         Err(e) => {
             let _ = write_response_typed(
                 &mut stream,
-                400,
+                e.status(),
                 CT_JSON,
-                &error_body("bad-request", &e, vec![]),
+                &error_body(e.kind(), e.detail(), vec![]),
             );
             return;
         }

@@ -523,6 +523,32 @@ fn malformed_bodies_and_unknown_routes_get_structured_errors() {
     stop(&addr, handle);
 }
 
+#[test]
+fn oversized_request_heads_get_431_and_the_server_stays_up() {
+    use std::io::{Read, Write};
+    let (addr, handle, exec) = start(ServerConfig::default(), Arc::default());
+    // One header line past the count limit and no terminating blank
+    // line: the server has read everything sent when it refuses, so the
+    // response arrives intact.
+    let mut head = String::from("GET /stats HTTP/1.1\r\n");
+    for i in 0..=hvx_serve::http::MAX_HEADERS {
+        head.push_str(&format!("x-h{i}: v\r\n"));
+    }
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream.write_all(head.as_bytes()).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(
+        response.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+        "{response}"
+    );
+    let body: Value = serde_json::from_str(response.split("\r\n\r\n").nth(1).unwrap()).unwrap();
+    assert_eq!(str_of(&body, "error"), "head-too-large");
+    assert!(client::stats(&addr).is_ok(), "the server keeps serving");
+    assert_eq!(exec.run_calls.load(Ordering::SeqCst), 0);
+    stop(&addr, handle);
+}
+
 /// Scrapes `/metrics` and returns the parsed samples keyed by
 /// `name{labels}`.
 fn scrape(addr: &str) -> HashMap<String, f64> {

@@ -45,11 +45,23 @@
 //!   at a different point of every round; no repeating state has been
 //!   found within 4,000 rounds.
 //!
-//! An interpreted step sweeps no per-VM state: the schedulers look
-//! vCPUs up by id in O(1), each pCPU keeps a count of its runnable
-//! vCPUs, and pending wakes (request arrivals, SGI wire arrivals) sit
-//! in a per-pCPU min-heap, O(log r) per event. Only a scheduler `pick`
-//! still scans the pCPU's r entries, once.
+//! ## Interpreted step cost
+//!
+//! The cell is generic over its [`VcpuScheduler`]: [`run_cell_machine`]
+//! matches the [`SchedPolicy`] once and the whole step loop is
+//! monomorphised, so every scheduler call is static and inlines. A step
+//! sweeps no per-VM state: the schedulers look vCPUs up by id in O(1),
+//! each pCPU keeps a count of its runnable vCPUs, and pending wakes
+//! (request arrivals, SGI wire arrivals) sit in a per-pCPU min-heap,
+//! O(log r) per event. A step touches the heap only when a wake is due,
+//! and reuses the other pCPU's next-action instant unless a pushed wake
+//! changed it. Charges take the machine's unobserved fast path, and an
+//! SGI fan-out fills a fixed CPU set instead of allocating.
+//!
+//! What is still O(r) per pCPU: a scheduler `pick` scans r entries
+//! once (for credit, a dense array of one-integer keys; for CFS, the
+//! entries themselves), and a credit accounting tick refills all r
+//! accounts, but only while some account sits below the cap.
 //!
 //! [`VcpuScheduler`]: hvx_core::VcpuScheduler
 //! [`CreditVcpuSched`]: hvx_core::CreditVcpuSched
@@ -63,7 +75,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use hvx_core::{Error, HvKind, Hypervisor, SchedPolicy, SimBuilder, VCpu, VcpuScheduler};
+use hvx_core::{
+    CfsScheduler, CreditVcpuSched, Error, HvKind, Hypervisor, SchedPolicy, SimBuilder, VCpu,
+    VcpuScheduler,
+};
 use hvx_engine::{CoreId, Cycles, FaultPlan, FaultPoint, Machine, TraceKind, TransitionId};
 use hvx_gic::{dist_reg, Distributor, VgicCpuInterface, VgicError};
 
@@ -258,9 +273,9 @@ struct Side {
 }
 
 /// One physical CPU: its scheduler and dispatch state.
-struct Pcpu {
+struct Pcpu<S> {
     core: CoreId,
-    sched: Box<dyn VcpuScheduler>,
+    sched: S,
     running: Option<usize>,
     /// Last vCPU (by VM index) that held the pCPU; `None` after idle,
     /// so a dispatch out of idle charges a world switch.
@@ -312,11 +327,14 @@ impl Counters {
     }
 }
 
-struct Cell {
+/// One cell's state, generic over the vCPU scheduler so the step loop
+/// is monomorphised per policy: every scheduler call is static and can
+/// inline.
+struct Cell<S> {
     vms: Vec<VmState>,
     a: Vec<Side>,
     b: Vec<Side>,
-    p: [Pcpu; 2],
+    p: [Pcpu<S>; 2],
     /// Undelivered wake events per pCPU: request arrivals on pCPU0 (at
     /// most one per VM, only while its vCPU A is idle), SGI wire
     /// arrivals on pCPU1 (each VM's in send order, strictly increasing).
@@ -324,19 +342,16 @@ struct Cell {
     /// Scratch for [`Cell::deliver_wakes`]: the due events as `(vm,
     /// instant)`.
     due: Vec<(usize, u64)>,
+    /// Each pCPU's [`Cell::actionable`] instant as of its last
+    /// computation; `None` once its inputs may have changed.
+    act: [Option<u64>; 2],
     costs: Costs,
     txns_per_vm: u32,
     n: Counters,
 }
 
-impl Cell {
-    fn new(
-        kind_costs: Costs,
-        ratio: u32,
-        policy: SchedPolicy,
-        txns: u32,
-        topo: [CoreId; 2],
-    ) -> Cell {
+impl<S: VcpuScheduler + Default> Cell<S> {
+    fn new(kind_costs: Costs, ratio: u32, txns: u32, topo: [CoreId; 2]) -> Self {
         let r = ratio as usize;
         let mut vms = Vec::with_capacity(r);
         for _ in 0..r {
@@ -355,7 +370,7 @@ impl Cell {
             });
         }
         let mk_pcpu = |core: CoreId| {
-            let mut sched = policy.make();
+            let mut sched = S::default();
             for v in 0..r {
                 sched.add_vcpu(v, 256);
                 // Guests boot into WFI; the first request wakes them.
@@ -389,6 +404,7 @@ impl Cell {
             p: [mk_pcpu(topo[0]), mk_pcpu(topo[1])],
             wakes: [arrivals, WakeHeap::new()],
             due: Vec::new(),
+            act: [None; 2],
             costs: kind_costs,
             txns_per_vm: txns,
             n: Counters::default(),
@@ -414,6 +430,7 @@ impl Cell {
             "VM {v}: second pending arrival, or a kick arriving out of send order"
         );
         self.wakes[p].push(Reverse((at, v)));
+        self.act[p] = None;
     }
 
     /// When pCPU `p` can next do something (`u64::MAX` = never).
@@ -451,11 +468,10 @@ impl Cell {
         }
     }
 
-    /// Delivers due wake events on `p`: request arrivals (pCPU0) or
-    /// SGI wire arrivals → vGIC injection (pCPU1). Due events are
-    /// handled in ascending VM order, each VM's kicks in send order.
-    fn deliver_wakes(&mut self, m: &mut Machine, p: usize) {
-        let now = m.now(self.p[p].core).as_u64();
+    /// Delivers the wake events due on `p` by `now`: request arrivals
+    /// (pCPU0) or SGI wire arrivals → vGIC injection (pCPU1). Due events
+    /// are handled in ascending VM order, each VM's kicks in send order.
+    fn deliver_wakes(&mut self, m: &mut Machine, p: usize, now: u64) {
         let mut due = std::mem::take(&mut self.due);
         while let Some(&Reverse((at, v))) = self.wakes[p].peek() {
             if at > now {
@@ -807,18 +823,45 @@ impl Cell {
     /// One event-loop step: advance the pCPU that can act earliest.
     /// Returns `false` when neither pCPU will ever act again.
     fn step(&mut self, m: &mut Machine, recording: bool) -> bool {
-        let t0 = self.actionable(m, 0);
-        let t1 = self.actionable(m, 1);
+        let t0 = self.cached_actionable(m, 0);
+        let t1 = self.cached_actionable(m, 1);
         if t0 == u64::MAX && t1 == u64::MAX {
             return false;
         }
         let p = if t0 <= t1 { 0 } else { 1 };
-        self.deliver_wakes(m, p);
+        // Only this pCPU's clock, dispatch state and wakes change below,
+        // plus the other's wakes through `push_wake`, which drops its
+        // cached instant.
+        self.act[p] = None;
+        let now = m.now(self.p[p].core).as_u64();
+        if self.next_wake(p) <= now {
+            self.deliver_wakes(m, p, now);
+        }
         if self.p[p].running.is_none() && !self.dispatch(m, p) {
             return true; // went idle; the other pCPU (or a wake) is next
         }
         self.exec_slice(m, recording, p);
         true
+    }
+
+    /// [`Cell::actionable`], reusing the instant computed on an earlier
+    /// step while nothing that feeds it has changed.
+    fn cached_actionable(&mut self, m: &Machine, p: usize) -> u64 {
+        match self.act[p] {
+            Some(t) => {
+                debug_assert_eq!(
+                    t,
+                    self.actionable(m, p),
+                    "pCPU{p}: stale actionable instant"
+                );
+                t
+            }
+            None => {
+                let t = self.actionable(m, p);
+                self.act[p] = Some(t);
+                t
+            }
+        }
     }
 
     /// Total vCPU steal, live bookkeeping plus replayed iterations.
@@ -886,9 +929,29 @@ pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervis
         let t = hv.machine().topology();
         [t.guest_core(0), t.guest_core(1)]
     };
-    let mut cell = Cell::new(costs, cfg.ratio, cfg.policy, cfg.txns_per_vm, topo);
     let m = hv.machine_mut();
+    // The one policy dispatch: everything below runs monomorphised.
+    let result = match cfg.policy {
+        SchedPolicy::Credit => drive(
+            Cell::<CreditVcpuSched>::new(costs, cfg.ratio, cfg.txns_per_vm, topo),
+            m,
+            &cfg,
+        ),
+        SchedPolicy::Cfs => drive(
+            Cell::<CfsScheduler>::new(costs, cfg.ratio, cfg.txns_per_vm, topo),
+            m,
+            &cfg,
+        ),
+    };
+    Ok((result, hv))
+}
 
+/// Runs `cell` to completion on `m` and reports it.
+fn drive<S: VcpuScheduler + Default>(
+    mut cell: Cell<S>,
+    m: &mut Machine,
+    cfg: &CellConfig,
+) -> CellResult {
     // Compile eligibility: only the uncontended 1:1 cell is provably
     // periodic per-pCPU (one transaction = one machine-level iteration,
     // with the two loop-carried instants — next arrival and the
@@ -916,6 +979,7 @@ pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervis
                 cell.n.steal_replayed += steal_delta * skipped;
                 cell.vms[0].done += skipped as u32;
                 cell.wakes = Default::default();
+                cell.act = [None; 2]; // the replay moved the clocks
                 if cell.vms[0].done < cfg.txns_per_vm {
                     if let Some(arrival) = m.loop_reg(0) {
                         cell.push_wake(0, arrival.as_u64(), 0);
@@ -950,7 +1014,7 @@ pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervis
             m.observe("consolidation.vcpu_ran", side.vcpu.ran_cycles());
         }
     }
-    let result = CellResult {
+    CellResult {
         column: cfg.kind.to_string(),
         ratio: cfg.ratio,
         sched: cfg.policy.name().to_string(),
@@ -968,8 +1032,7 @@ pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervis
         ipis_resent: cell.n.ipis_resent,
         makespan_cycles: m.global_now().as_u64(),
         iters_replayed: m.iters_replayed(),
-    };
-    Ok((result, hv))
+    }
 }
 
 /// The full sweep for one scheduler policy: every measured hypervisor ×
@@ -1191,45 +1254,111 @@ mod tests {
         );
     }
 
-    /// Every field of the contended (interpreted) cells, pinned: KVM ARM
-    /// and Xen x86 under both schedulers at 4:1 and 16:1, then the
-    /// fault-armed 4:1 cell whose resent kicks take the wake-event path
-    /// too. Scheduler or wake-delivery changes must leave all of it
-    /// unchanged.
+    /// Every field of the contended (interpreted) cells, pinned: all
+    /// four columns under credit and KVM ARM and Xen x86 under CFS, at
+    /// 4:1 and 16:1, then the fault-armed 4:1 cell whose resent kicks
+    /// take the wake-event path too. Scheduler, dispatch or
+    /// wake-delivery changes must leave all of it unchanged.
     #[test]
     fn contended_cells_match_pinned_results() {
-        const PINNED: [&str; 9] = [
-            r#"{"column":"KVM ARM","ratio":4,"sched":"credit","txns_per_vm":12,"transactions":48,"sum_latency_cycles":11399224,"steal_cycles":7805583,"lock_spin_cycles":4000,"vm_switches":142,"preemptions":54,"timer_fires":46,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":3667284,"iters_replayed":0}"#,
-            r#"{"column":"KVM ARM","ratio":16,"sched":"credit","txns_per_vm":12,"transactions":192,"sum_latency_cycles":165801778,"steal_cycles":151391037,"lock_spin_cycles":10000,"vm_switches":574,"preemptions":222,"timer_fires":184,"ipis_sent":192,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":14564964,"iters_replayed":0}"#,
-            r#"{"column":"KVM ARM","ratio":4,"sched":"cfs","txns_per_vm":12,"transactions":48,"sum_latency_cycles":13793742,"steal_cycles":10161582,"lock_spin_cycles":0,"vm_switches":144,"preemptions":48,"timer_fires":48,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":3661658,"iters_replayed":0}"#,
-            r#"{"column":"KVM ARM","ratio":16,"sched":"cfs","txns_per_vm":12,"transactions":192,"sum_latency_cycles":226208280,"steal_cycles":211679640,"lock_spin_cycles":0,"vm_switches":576,"preemptions":192,"timer_fires":192,"ipis_sent":192,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":14558138,"iters_replayed":0}"#,
-            r#"{"column":"Xen x86","ratio":4,"sched":"credit","txns_per_vm":12,"transactions":48,"sum_latency_cycles":12306970,"steal_cycles":9067366,"lock_spin_cycles":7000,"vm_switches":143,"preemptions":59,"timer_fires":44,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":3380664,"iters_replayed":0}"#,
-            r#"{"column":"Xen x86","ratio":16,"sched":"credit","txns_per_vm":12,"transactions":192,"sum_latency_cycles":200524606,"steal_cycles":187572574,"lock_spin_cycles":25000,"vm_switches":575,"preemptions":239,"timer_fires":176,"ipis_sent":192,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":13430184,"iters_replayed":0}"#,
-            r#"{"column":"Xen x86","ratio":4,"sched":"cfs","txns_per_vm":12,"transactions":48,"sum_latency_cycles":12689784,"steal_cycles":9440808,"lock_spin_cycles":0,"vm_switches":144,"preemptions":48,"timer_fires":48,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":3379484,"iters_replayed":0}"#,
-            r#"{"column":"Xen x86","ratio":16,"sched":"cfs","txns_per_vm":12,"transactions":192,"sum_latency_cycles":208691040,"steal_cycles":197264160,"lock_spin_cycles":0,"vm_switches":576,"preemptions":192,"timer_fires":192,"ipis_sent":192,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":13436948,"iters_replayed":0}"#,
-            r#"{"column":"KVM ARM","ratio":4,"sched":"credit","txns_per_vm":12,"transactions":48,"sum_latency_cycles":14063753,"steal_cycles":9977660,"lock_spin_cycles":54000,"vm_switches":147,"preemptions":69,"timer_fires":57,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":14,"ipis_resent":11,"makespan_cycles":4146936,"iters_replayed":0}"#,
+        use SchedPolicy::{Cfs, Credit};
+        const PINNED: [(HvKind, SchedPolicy, u32, &str); 12] = [
+            (
+                HvKind::KvmArm,
+                Credit,
+                4,
+                r#"{"column":"KVM ARM","ratio":4,"sched":"credit","txns_per_vm":12,"transactions":48,"sum_latency_cycles":11399224,"steal_cycles":7805583,"lock_spin_cycles":4000,"vm_switches":142,"preemptions":54,"timer_fires":46,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":3667284,"iters_replayed":0}"#,
+            ),
+            (
+                HvKind::KvmArm,
+                Credit,
+                16,
+                r#"{"column":"KVM ARM","ratio":16,"sched":"credit","txns_per_vm":12,"transactions":192,"sum_latency_cycles":165801778,"steal_cycles":151391037,"lock_spin_cycles":10000,"vm_switches":574,"preemptions":222,"timer_fires":184,"ipis_sent":192,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":14564964,"iters_replayed":0}"#,
+            ),
+            (
+                HvKind::KvmArm,
+                Cfs,
+                4,
+                r#"{"column":"KVM ARM","ratio":4,"sched":"cfs","txns_per_vm":12,"transactions":48,"sum_latency_cycles":13793742,"steal_cycles":10161582,"lock_spin_cycles":0,"vm_switches":144,"preemptions":48,"timer_fires":48,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":3661658,"iters_replayed":0}"#,
+            ),
+            (
+                HvKind::KvmArm,
+                Cfs,
+                16,
+                r#"{"column":"KVM ARM","ratio":16,"sched":"cfs","txns_per_vm":12,"transactions":192,"sum_latency_cycles":226208280,"steal_cycles":211679640,"lock_spin_cycles":0,"vm_switches":576,"preemptions":192,"timer_fires":192,"ipis_sent":192,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":14558138,"iters_replayed":0}"#,
+            ),
+            (
+                HvKind::XenArm,
+                Credit,
+                4,
+                r#"{"column":"Xen ARM","ratio":4,"sched":"credit","txns_per_vm":12,"transactions":48,"sum_latency_cycles":12067806,"steal_cycles":8896678,"lock_spin_cycles":0,"vm_switches":144,"preemptions":48,"timer_fires":48,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":3217243,"iters_replayed":0}"#,
+            ),
+            (
+                HvKind::XenArm,
+                Credit,
+                16,
+                r#"{"column":"Xen ARM","ratio":16,"sched":"credit","txns_per_vm":12,"transactions":192,"sum_latency_cycles":198776664,"steal_cycles":186154168,"lock_spin_cycles":0,"vm_switches":576,"preemptions":192,"timer_fires":192,"ipis_sent":192,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":12792643,"iters_replayed":0}"#,
+            ),
+            (
+                HvKind::KvmX86,
+                Credit,
+                4,
+                r#"{"column":"KVM x86","ratio":4,"sched":"credit","txns_per_vm":12,"transactions":48,"sum_latency_cycles":10149680,"steal_cycles":7452422,"lock_spin_cycles":4000,"vm_switches":143,"preemptions":55,"timer_fires":44,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":2812104,"iters_replayed":0}"#,
+            ),
+            (
+                HvKind::KvmX86,
+                Credit,
+                16,
+                r#"{"column":"KVM x86","ratio":16,"sched":"credit","txns_per_vm":12,"transactions":192,"sum_latency_cycles":166365056,"steal_cycles":155596634,"lock_spin_cycles":16000,"vm_switches":575,"preemptions":223,"timer_fires":176,"ipis_sent":192,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":11159880,"iters_replayed":0}"#,
+            ),
+            (
+                HvKind::XenX86,
+                Credit,
+                4,
+                r#"{"column":"Xen x86","ratio":4,"sched":"credit","txns_per_vm":12,"transactions":48,"sum_latency_cycles":12306970,"steal_cycles":9067366,"lock_spin_cycles":7000,"vm_switches":143,"preemptions":59,"timer_fires":44,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":3380664,"iters_replayed":0}"#,
+            ),
+            (
+                HvKind::XenX86,
+                Credit,
+                16,
+                r#"{"column":"Xen x86","ratio":16,"sched":"credit","txns_per_vm":12,"transactions":192,"sum_latency_cycles":200524606,"steal_cycles":187572574,"lock_spin_cycles":25000,"vm_switches":575,"preemptions":239,"timer_fires":176,"ipis_sent":192,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":13430184,"iters_replayed":0}"#,
+            ),
+            (
+                HvKind::XenX86,
+                Cfs,
+                4,
+                r#"{"column":"Xen x86","ratio":4,"sched":"cfs","txns_per_vm":12,"transactions":48,"sum_latency_cycles":12689784,"steal_cycles":9440808,"lock_spin_cycles":0,"vm_switches":144,"preemptions":48,"timer_fires":48,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":3379484,"iters_replayed":0}"#,
+            ),
+            (
+                HvKind::XenX86,
+                Cfs,
+                16,
+                r#"{"column":"Xen x86","ratio":16,"sched":"cfs","txns_per_vm":12,"transactions":192,"sum_latency_cycles":208691040,"steal_cycles":197264160,"lock_spin_cycles":0,"vm_switches":576,"preemptions":192,"timer_fires":192,"ipis_sent":192,"ipis_coalesced":0,"ipis_dropped":0,"ipis_resent":0,"makespan_cycles":13436948,"iters_replayed":0}"#,
+            ),
         ];
-        let mut cfgs = Vec::new();
-        for kind in [HvKind::KvmArm, HvKind::XenX86] {
-            for policy in SchedPolicy::ALL {
-                for ratio in [4, 16] {
-                    cfgs.push(CellConfig {
-                        kind,
-                        ratio,
-                        policy,
-                        txns_per_vm: T,
-                        compile: false,
-                        profiling: false,
-                        fault: None,
-                    });
-                }
-            }
+        const FAULTED: &str = r#"{"column":"KVM ARM","ratio":4,"sched":"credit","txns_per_vm":12,"transactions":48,"sum_latency_cycles":14063753,"steal_cycles":9977660,"lock_spin_cycles":54000,"vm_switches":147,"preemptions":69,"timer_fires":57,"ipis_sent":48,"ipis_coalesced":0,"ipis_dropped":14,"ipis_resent":11,"makespan_cycles":4146936,"iters_replayed":0}"#;
+        let parse =
+            |s: &str| -> CellResult { serde_json::from_str(s).expect("pinned result parses") };
+        for (kind, policy, ratio, pinned) in PINNED {
+            let cfg = CellConfig {
+                kind,
+                ratio,
+                policy,
+                txns_per_vm: T,
+                compile: false,
+                profiling: false,
+                fault: None,
+            };
+            assert_eq!(
+                run_cell_with(cfg).unwrap(),
+                parse(pinned),
+                "{kind:?} {policy:?} {ratio}:1"
+            );
         }
-        cfgs.push(faulted_cfg(4, 0.3, false));
-        for (cfg, pinned) in cfgs.into_iter().zip(PINNED) {
-            let want: CellResult = serde_json::from_str(pinned).expect("pinned result parses");
-            assert_eq!(run_cell_with(cfg).unwrap(), want);
-        }
+        assert_eq!(
+            run_cell_with(faulted_cfg(4, 0.3, false)).unwrap(),
+            parse(FAULTED)
+        );
     }
 
     #[test]

@@ -15,8 +15,8 @@ cargo test -q --workspace
 echo "== perfbench self-test =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== cargo clippy (warnings denied) =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy, tests and benches included (warnings denied) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
