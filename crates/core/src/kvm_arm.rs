@@ -1333,8 +1333,9 @@ mod tests {
     #[test]
     fn hypercall_trace_shows_split_mode_structure() {
         let mut kvm = KvmArm::new();
+        kvm.machine_mut().enable_event_tracing(None);
         kvm.hypercall(0);
-        let trace = kvm.machine().trace();
+        let trace = kvm.machine().event_tracer().unwrap();
         // The double trap and the full save/restore must appear in order.
         assert!(trace.contains_label_subsequence(&[
             "hw:trap-el2",
@@ -1349,8 +1350,8 @@ mod tests {
             "hw:eret",
         ]));
         // Table III verbatim: the VGIC save dominates.
-        assert_eq!(trace.total_by_label("save:vgic"), Cycles::new(3250));
-        assert_eq!(trace.total_by_label("restore:vgic"), Cycles::new(181));
+        assert_eq!(trace.total_by_label("save:vgic"), 3250);
+        assert_eq!(trace.total_by_label("restore:vgic"), 181);
     }
 
     #[test]
@@ -1382,11 +1383,14 @@ mod tests {
     #[test]
     fn virq_completion_is_71_cycles_no_trap() {
         let mut kvm = KvmArm::new();
-        let before_traps = kvm.machine().trace().total_by_kind(TraceKind::Trap);
+        kvm.machine_mut().enable_event_tracing(None);
         let c = kvm.virq_complete(0);
         assert_eq!(c, Cycles::new(71), "Table II: Virtual IRQ Completion");
-        let after_traps = kvm.machine().trace().total_by_kind(TraceKind::Trap);
-        assert_eq!(before_traps, after_traps, "no trap occurred");
+        let slices = kvm.machine().event_tracer().unwrap().slices();
+        assert!(
+            slices.iter().all(|s| s.kind != TraceKind::Trap),
+            "no trap occurred"
+        );
     }
 
     #[test]
@@ -1413,13 +1417,25 @@ mod tests {
     #[test]
     fn virtual_ipi_crosses_cores() {
         let mut kvm = KvmArm::new();
+        kvm.machine_mut().enable_event_tracing(None);
         let lat = kvm.virtual_ipi(0, 1);
         assert!(
             lat > Cycles::new(8000),
             "cross-core path is expensive: {lat}"
         );
-        // The physical kick must appear in the trace.
-        assert!(kvm.machine().trace().labels().contains(&"signal:in-flight"));
+        // The physical kick crosses the wire: the target's first step
+        // starts one IPI wire latency after the sender's emulation ends.
+        let slices = kvm.machine().event_tracer().unwrap().slices();
+        let target = kvm.machine().topology().guest_core(1).index() as u8;
+        let sent = slices
+            .iter()
+            .find(|s| s.label == "kvm:gicd-emulate")
+            .unwrap();
+        let first_rx = slices.iter().find(|s| s.track == target).unwrap();
+        assert_eq!(
+            first_rx.start,
+            sent.start + sent.duration + kvm.cost.ipi_wire.as_u64()
+        );
     }
 
     #[test]
@@ -1438,6 +1454,7 @@ mod tests {
     fn vhe_hypercall_is_order_of_magnitude_cheaper() {
         let mut classic = KvmArm::new();
         let mut vhe = KvmArm::new_vhe();
+        vhe.machine_mut().enable_event_tracing(None);
         let a = classic.hypercall(0);
         let b = vhe.hypercall(0);
         assert!(
@@ -1445,14 +1462,9 @@ mod tests {
             "§VI: VHE removes the split-mode cost: {a} vs {b}"
         );
         // And no EL1 state motion appears in the VHE trace.
-        assert_eq!(
-            vhe.machine().trace().total_by_label("save:vgic"),
-            Cycles::ZERO
-        );
-        assert_eq!(
-            vhe.machine().trace().total_by_label("save:el1-sys"),
-            Cycles::ZERO
-        );
+        let trace = vhe.machine().event_tracer().unwrap();
+        assert_eq!(trace.total_by_label("save:vgic"), 0);
+        assert_eq!(trace.total_by_label("save:el1-sys"), 0);
     }
 
     #[test]

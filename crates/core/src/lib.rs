@@ -78,3 +78,6 @@ pub use spec::{FaultSpec, ScenarioSpec, SpecShape, TopologySpec};
 pub use vcpu::{VCpu, VcpuState};
 pub use x86::{KvmX86, X86Hv, XenX86, RESCHED_VECTOR, VIRTIO_VECTOR};
 pub use xen_arm::{XenArm, DOMU, EVTCHN_VIRQ};
+// Re-exported so layers that depend only on `hvx-core` (the sweep
+// server) can validate fingerprints by the one canonical rule.
+pub use hvx_engine::Fingerprint;

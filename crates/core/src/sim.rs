@@ -5,7 +5,7 @@
 //! models through per-model constructors and ad-hoc machine fiddling.
 //! [`SimBuilder`] is the single documented way in: pick a configuration,
 //! set the knobs the paper's experimental design exposes (VCPU count,
-//! trace mode, cycle-attribution profiling, virtual-interrupt policy,
+//! event tracing, cycle-attribution profiling, virtual-interrupt policy,
 //! cost model), and [`SimBuilder::build`] validates the combination and
 //! returns a ready [`Sim`].
 
@@ -15,7 +15,7 @@ use crate::{
     XenX86,
 };
 use core::fmt;
-use hvx_engine::{FaultPlan, TraceMode, Watchdog};
+use hvx_engine::{FaultPlan, Watchdog};
 
 /// The number of VCPUs of the paper's measured VM configuration (§III:
 /// "we configured both hypervisors with 4-way SMP virtual machines").
@@ -138,16 +138,18 @@ impl fmt::Display for Workload {
 ///
 /// ```
 /// use hvx_core::{HvKind, SimBuilder, Workload};
-/// use hvx_engine::TraceMode;
 ///
 /// let mut sim = SimBuilder::new(HvKind::KvmArm)
 ///     .cpus(4)
 ///     .workload(Workload::Netperf)
-///     .tracing(TraceMode::Aggregate)
+///     .event_tracing(true)
 ///     .build()
 ///     .expect("paper configuration is valid");
 /// // Table II, row 1: a KVM ARM hypercall costs 6,500 cycles.
 /// assert_eq!(sim.hypercall(0).as_u64(), 6_500);
+/// // Its register-class breakdown is in the tracer's slices.
+/// let trace = sim.machine().event_tracer().unwrap();
+/// assert_eq!(trace.total_by_label("save:vgic"), 3_250);
 /// ```
 ///
 /// Invalid combinations are rejected instead of panicking:
@@ -166,8 +168,6 @@ pub struct SimBuilder {
     /// only from it (plus the observability knobs, which are not part
     /// of a scenario's identity).
     spec: ScenarioSpec,
-    trace: TraceMode,
-    trace_enabled: bool,
     profiling: bool,
     cost: Option<CostModel>,
     event_tracing: bool,
@@ -176,20 +176,18 @@ pub struct SimBuilder {
 
 impl SimBuilder {
     /// Starts a builder for `kind` with the paper's defaults: 4 VCPUs,
-    /// full tracing, profiling off, interrupts to VCPU0.
+    /// event tracing and profiling off, interrupts to VCPU0.
     pub fn new(kind: HvKind) -> SimBuilder {
         SimBuilder::from_spec(ScenarioSpec::paper(kind))
     }
 
     /// Starts a builder from an explicit [`ScenarioSpec`] (e.g. one
-    /// deserialized from a `--spec` file). Observability knobs (trace
-    /// mode, profiling, event tracing, cost overrides) are not part of
-    /// a spec and start at their defaults.
+    /// deserialized from a `--spec` file). Observability knobs
+    /// (profiling, event tracing) and cost overrides are not part of a
+    /// spec and start at their defaults.
     pub fn from_spec(spec: ScenarioSpec) -> SimBuilder {
         SimBuilder {
             spec,
-            trace: TraceMode::Full,
-            trace_enabled: true,
             profiling: false,
             cost: None,
             event_tracing: false,
@@ -223,20 +221,6 @@ impl SimBuilder {
     /// back via [`Sim::workload`] to pick the operation mix.
     pub fn workload(mut self, workload: Workload) -> SimBuilder {
         self.spec.workload = Some(workload);
-        self
-    }
-
-    /// Selects the trace mode ([`TraceMode::Aggregate`] keeps the hot
-    /// path allocation-free; [`TraceMode::Full`] stores every event).
-    pub fn tracing(mut self, mode: TraceMode) -> SimBuilder {
-        self.trace = mode;
-        self.trace_enabled = true;
-        self
-    }
-
-    /// Disables the step trace entirely (bulk workload runs).
-    pub fn without_tracing(mut self) -> SimBuilder {
-        self.trace_enabled = false;
         self
     }
 
@@ -348,8 +332,6 @@ impl SimBuilder {
             (HvKind::Native, None) => Box::new(Native::new()),
         };
         let machine = hv.machine_mut();
-        machine.trace_mut().set_mode(self.trace);
-        machine.trace_mut().set_enabled(self.trace_enabled);
         if self.profiling {
             machine.enable_profiling();
         }
@@ -446,18 +428,15 @@ mod tests {
     #[test]
     fn builder_knobs_reach_the_machine() {
         let sim = SimBuilder::new(HvKind::KvmArm)
-            .tracing(TraceMode::Aggregate)
+            .event_tracing(true)
             .profiling(true)
             .build()
             .unwrap();
-        assert_eq!(sim.machine().trace().mode(), TraceMode::Aggregate);
+        assert!(sim.machine().event_tracing());
         assert!(sim.machine().profiling());
 
-        let sim = SimBuilder::new(HvKind::XenArm)
-            .without_tracing()
-            .build()
-            .unwrap();
-        assert!(!sim.machine().trace().is_enabled());
+        let sim = SimBuilder::new(HvKind::XenArm).build().unwrap();
+        assert!(!sim.machine().event_tracing());
         assert!(!sim.machine().profiling());
     }
 

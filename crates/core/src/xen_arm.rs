@@ -1393,10 +1393,11 @@ mod tests {
     #[test]
     fn hypercall_moves_no_el1_state() {
         let mut xen = XenArm::new();
+        xen.machine_mut().enable_event_tracing(None);
         xen.hypercall(0);
-        let trace = xen.machine().trace();
-        assert_eq!(trace.total_by_label("save:el1-sys"), Cycles::ZERO);
-        assert_eq!(trace.total_by_label("save:vgic"), Cycles::ZERO);
+        let trace = xen.machine().event_tracer().unwrap();
+        assert_eq!(trace.total_by_label("save:el1-sys"), 0);
+        assert_eq!(trace.total_by_label("save:vgic"), 0);
         assert!(trace.contains_label_subsequence(&[
             "hw:trap-el2",
             "xen:frame-save",
@@ -1415,12 +1416,16 @@ mod tests {
     #[test]
     fn vm_switch_pays_full_context_switch() {
         let mut xen = XenArm::new();
+        xen.machine_mut().enable_event_tracing(None);
         let cost = xen.vm_switch();
         assert_eq!(cost, Cycles::new(8799), "Table II: Xen ARM VM switch");
         // Unlike the hypercall, the full register classes move.
         assert_eq!(
-            xen.machine().trace().total_by_label("save:vgic"),
-            Cycles::new(3250)
+            xen.machine()
+                .event_tracer()
+                .unwrap()
+                .total_by_label("save:vgic"),
+            3250
         );
         // And back again.
         assert_eq!(xen.vm_switch(), Cycles::new(8799));
@@ -1500,6 +1505,7 @@ mod tests {
     #[test]
     fn stage2_fault_is_handled_without_leaving_el2() {
         let mut xen = XenArm::new();
+        xen.machine_mut().enable_event_tracing(None);
         let mut kvm = crate::KvmArm::new();
         let x = xen.stage2_fault(0);
         let k = kvm.stage2_fault(0);
@@ -1509,8 +1515,11 @@ mod tests {
         );
         // No EL1 state moved.
         assert_eq!(
-            xen.machine().trace().total_by_label("save:el1-sys"),
-            Cycles::ZERO
+            xen.machine()
+                .event_tracer()
+                .unwrap()
+                .total_by_label("save:el1-sys"),
+            0
         );
     }
 

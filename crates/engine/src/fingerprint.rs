@@ -42,9 +42,11 @@ impl Fingerprint {
         format!("{:032x}", self.0)
     }
 
-    /// Parses the canonical hex rendering back into a fingerprint.
+    /// Parses the canonical hex rendering (exactly 32 lowercase hex
+    /// digits, no sign) back into a fingerprint.
     pub fn parse_hex(s: &str) -> Option<Fingerprint> {
-        if s.len() != 32 {
+        let canonical = s.len() == 32 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+        if !canonical {
             return None;
         }
         u128::from_str_radix(s, 16).ok().map(Fingerprint)
@@ -213,6 +215,16 @@ mod tests {
         assert_eq!(Fingerprint::parse_hex("xyz"), None);
         assert_eq!(Fingerprint::parse_hex(&"g".repeat(32)), None);
         assert_eq!(Fingerprint::parse_hex(&"0".repeat(31)), None);
+        // `u128::from_str_radix` alone would take a sign and upper case.
+        assert_eq!(
+            Fingerprint::parse_hex(&format!("+{}", "0".repeat(31))),
+            None
+        );
+        assert_eq!(Fingerprint::parse_hex(&"A".repeat(32)), None);
+        assert_eq!(
+            Fingerprint::parse_hex(&"ab".repeat(16)).unwrap().to_hex(),
+            "ab".repeat(16)
+        );
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //! * [`CoreId`] / [`Topology`] — the 8-core, pinned-VCPU machine layout of
 //!   the paper's experimental design (§III);
 //! * [`Machine`] — per-core clocks, cost charging, cross-core signals;
-//! * [`TraceLog`] — the per-step decomposition that regenerates the paper's
-//!   breakdown tables and lets tests assert exact transition sequences;
 //! * [`EventQueue`] — a deterministic calendar for workload simulations;
 //! * [`shard`] — conservative-PDES sharding: per-host calendars with a
 //!   wire-latency lookahead bound, byte-identical serial and parallel
@@ -23,7 +21,11 @@
 //! * [`Samples`] / [`Summary`] — iteration statistics;
 //! * re-exported [`TransitionId`] spans and [`MetricsRegistry`] metrics
 //!   (from `hvx-obs`) — opt-in cycle attribution behind
-//!   [`Machine::enable_profiling`].
+//!   [`Machine::enable_profiling`];
+//! * the re-exported [`EventTracer`] — opt-in, behind
+//!   [`Machine::enable_event_tracing`]: one [`SliceEvent`] per charge,
+//!   the per-step decomposition that regenerates the paper's breakdown
+//!   tables and lets tests assert exact transition sequences.
 //!
 //! Higher layers (architectural state, interrupt controller, memory, I/O,
 //! the hypervisor models themselves) all express their costs through
@@ -36,11 +38,13 @@
 //! use hvx_engine::{Machine, Topology, TraceKind, Cycles};
 //!
 //! let mut m = Machine::new(Topology::paper_default());
+//! m.enable_event_tracing(None);
 //! let vcpu0 = m.topology().guest_core(0);
 //! m.charge(vcpu0, "trap:el1-to-el2", TraceKind::Trap, Cycles::new(160));
 //! m.charge(vcpu0, "save:gp", TraceKind::ContextSave, Cycles::new(152));
 //! assert_eq!(m.now(vcpu0), Cycles::new(312));
-//! assert_eq!(m.trace().labels(), ["trap:el1-to-el2", "save:gp"]);
+//! let trace = m.take_event_tracer().unwrap();
+//! assert_eq!(trace.labels(), ["trap:el1-to-el2", "save:gp"]);
 //! ```
 
 #![warn(missing_docs)]
@@ -56,7 +60,6 @@ pub mod shard;
 mod stats;
 pub mod timeline;
 mod topology;
-mod trace;
 
 pub use cycles::{Cycles, Frequency};
 pub use event::EventQueue;
@@ -67,9 +70,8 @@ pub use fingerprint::{Fingerprint, FingerprintHasher};
 pub use hvx_obs::{
     render_span_deltas, span_deltas, CounterSnapshot, EventTracer, FlowChain, FlowId, FlowKind,
     FlowPhase, FlowPoint, HistogramSketch, HistogramSnapshot, MetricsRegistry, ProfileSnapshot,
-    SliceEvent, SpanDelta, SpanRow, SpanSnapshotRow, SpanTracer, TransitionId,
+    SliceEvent, SpanDelta, SpanRow, SpanSnapshotRow, SpanTracer, TraceKind, TransitionId,
 };
 pub use machine::{thread_transitions, Machine};
 pub use stats::{Histogram, Samples, Streaming, Summary};
 pub use topology::{CoreId, Topology};
-pub use trace::{TraceEvent, TraceKind, TraceLog, TraceMode};

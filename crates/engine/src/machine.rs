@@ -1,4 +1,5 @@
-//! The simulated multi-core machine: per-core cycle clocks plus the trace.
+//! The simulated multi-core machine: per-core cycle clocks plus the
+//! opt-in observers of each charge.
 //!
 //! hvx models time the way the paper measures it: with per-physical-core
 //! cycle counters ("measurements were obtained using cycle counters ... to
@@ -14,7 +15,7 @@ use crate::compile::{LoopState, Program, RawOp, Recorder, GIVE_UP_ITERS};
 use crate::fault::{
     self, CycleBudgetExceeded, FaultPlan, FaultPoint, FaultState, Livelocked, Watchdog,
 };
-use crate::{CoreId, Cycles, Topology, TraceEvent, TraceKind, TraceLog};
+use crate::{CoreId, Cycles, Topology, TraceKind};
 use hvx_obs::{EventTracer, FlowId, FlowKind, MetricsRegistry, SpanTracer, TransitionId};
 use std::cell::Cell;
 
@@ -68,7 +69,6 @@ pub struct Machine {
     /// Cycles each core spent doing charged work (clock time minus time
     /// skipped by [`Machine::wait_until`] — i.e. minus idle waiting).
     busy: Vec<Cycles>,
-    trace: TraceLog,
     /// `Some` once profiling is enabled; `None` keeps the charge hot
     /// path identical to the pre-observability engine.
     profiler: Option<Box<Profiler>>,
@@ -97,8 +97,8 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Creates a machine with all core clocks at zero and tracing
-    /// enabled. Picks up the thread's ambient fault configuration (see
+    /// Creates a machine with all core clocks at zero and no observer
+    /// (no profiler, no event tracer). Picks up the thread's ambient fault configuration (see
     /// [`fault::install_ambient`]); with none installed — the default —
     /// the machine carries no fault state and no watchdog.
     pub fn new(topology: Topology) -> Self {
@@ -109,7 +109,6 @@ impl Machine {
             topology,
             clocks,
             busy,
-            trace: TraceLog::new(),
             profiler: None,
             faults: None,
             events: None,
@@ -124,22 +123,6 @@ impl Machine {
             m.set_fault_plan(plan);
         }
         m.set_watchdog(watchdog);
-        m
-    }
-
-    /// Creates a machine with tracing disabled (bulk workload runs).
-    pub fn without_tracing(topology: Topology) -> Self {
-        let mut m = Machine::new(topology);
-        m.trace = TraceLog::disabled();
-        m
-    }
-
-    /// Creates a machine whose trace keeps only per-`(kind, label)`
-    /// totals — breakdown tables stay exact while [`Machine::charge`]
-    /// never allocates per step (microbenchmark iteration loops).
-    pub fn with_aggregate_trace(topology: Topology) -> Self {
-        let mut m = Machine::new(topology);
-        m.trace = TraceLog::aggregate();
         m
     }
 
@@ -190,9 +173,9 @@ impl Machine {
     }
 
     /// Spends `cost` cycles of labelled work on `core`, advancing its clock
-    /// and recording a trace event.
+    /// and, with event tracing enabled, recording a slice.
     ///
-    /// Zero-cost charges still record an event (they mark a causal step,
+    /// Zero-cost charges still record a slice (they mark a causal step,
     /// e.g. a register write that is free but architecturally significant).
     ///
     /// Returns the instant the work completed.
@@ -210,16 +193,13 @@ impl Machine {
         self.charge_inner(core, label, kind, cost, None)
     }
 
-    /// Whether nothing observes individual charges: no trace, profiler,
-    /// event tracer or loop session is live. Read on every charge rather
-    /// than cached, because [`Machine::trace_mut`] can re-enable the
-    /// trace at any point.
+    /// Whether nothing observes individual charges: no profiler, event
+    /// tracer or loop session is live. Read on every charge rather than
+    /// cached, because [`Machine::enable_event_tracing`] can switch the
+    /// tracer on at any point.
     #[inline]
     fn unobserved(&self) -> bool {
-        !self.trace.is_enabled()
-            && self.profiler.is_none()
-            && self.events.is_none()
-            && self.loop_state.is_none()
+        self.profiler.is_none() && self.events.is_none() && self.loop_state.is_none()
     }
 
     /// A charge with no observer: exactly the clock, busy, transition
@@ -244,13 +224,6 @@ impl Machine {
         transition: Option<TransitionId>,
     ) -> Cycles {
         let start = self.clocks[core.index()];
-        self.trace.record(TraceEvent {
-            core,
-            start,
-            duration: cost,
-            kind,
-            label,
-        });
         if let Some(p) = &mut self.profiler {
             p.spans.charge(cost.as_u64());
         }
@@ -260,6 +233,7 @@ impl Machine {
                 start.as_u64(),
                 cost.as_u64(),
                 label,
+                kind,
                 transition,
             );
         }
@@ -370,13 +344,6 @@ impl Machine {
                 arrival: arrival.as_u64(),
             });
         }
-        self.trace.record(TraceEvent {
-            core: to,
-            start: depart,
-            duration: latency,
-            kind: TraceKind::Ipi,
-            label: "signal:in-flight",
-        });
         arrival
     }
 
@@ -410,18 +377,6 @@ impl Machine {
             return 0.0;
         }
         self.busy[core.index()].as_f64() / total
-    }
-
-    /// Shared access to the trace log.
-    #[inline]
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
-    }
-
-    /// Mutable access to the trace log (e.g. to clear between phases).
-    #[inline]
-    pub fn trace_mut(&mut self) -> &mut TraceLog {
-        &mut self.trace
     }
 
     // --- fault injection & watchdog ------------------------------------
@@ -583,7 +538,7 @@ impl Machine {
     /// block in bulk, skipping iterations wholesale.
     ///
     /// Returns `false` (and records nothing) when the machine is not
-    /// eligible: tracing enabled, profiling enabled (see
+    /// eligible: profiling enabled (see
     /// [`Machine::loop_begin_profiled`]), a fault plan installed,
     /// event tracing on, or a finite watchdog — in every such case the
     /// per-transition machinery observes state a bulk replay cannot
@@ -616,8 +571,7 @@ impl Machine {
             None => true,
             Some(p) => allow_profiled && p.spans.depth() == 0,
         };
-        let eligible = !self.trace.is_enabled()
-            && self.faults.is_none()
+        let eligible = self.faults.is_none()
             && self.events.is_none()
             && self.cycle_budget == u64::MAX
             && self.livelock_limit == u64::MAX
@@ -906,8 +860,9 @@ mod tests {
     #[test]
     fn zero_cost_charge_still_traces() {
         let mut m = two_core_machine();
+        m.enable_event_tracing(None);
         m.charge(CoreId::new(0), "mark", TraceKind::Other, Cycles::ZERO);
-        assert_eq!(m.trace().len(), 1);
+        assert_eq!(m.event_tracer().unwrap().slices().len(), 1);
         assert_eq!(m.now(CoreId::new(0)), Cycles::ZERO);
     }
 
@@ -946,10 +901,10 @@ mod tests {
     }
 
     #[test]
-    fn without_tracing_drops_events_but_keeps_time() {
-        let mut m = Machine::without_tracing(Topology::split(2, 1));
+    fn untraced_machine_records_nothing_but_keeps_time() {
+        let mut m = Machine::new(Topology::split(2, 1));
         m.charge(CoreId::new(0), "a", TraceKind::Guest, Cycles::new(10));
-        assert!(m.trace().is_empty());
+        assert!(m.event_tracer().is_none());
         assert_eq!(m.now(CoreId::new(0)), Cycles::new(10));
     }
 
@@ -1065,14 +1020,12 @@ mod tests {
     fn charge_path_machines() -> Vec<(&'static str, Machine)> {
         let topo = || Topology::split(2, 1);
         let with = |f: fn(&mut Machine)| {
-            let mut m = Machine::without_tracing(topo());
+            let mut m = Machine::new(topo());
             f(&mut m);
             m
         };
         vec![
-            ("no hooks", Machine::without_tracing(topo())),
-            ("aggregate trace", Machine::with_aggregate_trace(topo())),
-            ("full trace", Machine::new(topo())),
+            ("no hooks", Machine::new(topo())),
             ("profiling", with(|m| m.enable_profiling())),
             ("event tracing", with(|m| m.enable_event_tracing(None))),
             (
@@ -1119,11 +1072,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_re_enabled_mid_run_records() {
-        let mut m = Machine::without_tracing(Topology::split(2, 1));
+    fn trace_enabled_mid_run_records() {
+        let mut m = Machine::new(Topology::split(2, 1));
         charge_sequence(&mut m);
-        assert!(m.trace().is_empty());
-        m.trace_mut().set_enabled(true);
+        assert!(m.event_tracer().is_none());
+        m.enable_event_tracing(None);
         m.charge(CoreId::new(0), "late", TraceKind::Guest, Cycles::new(10));
         m.charge_as(
             CoreId::new(1),
@@ -1132,11 +1085,39 @@ mod tests {
             Cycles::new(20),
             TransitionId::Sched,
         );
-        let labels: Vec<_> = m.trace().events().iter().map(|e| e.label).collect();
-        assert_eq!(labels, ["late", "late:as"]);
-        m.trace_mut().set_mode(crate::TraceMode::Aggregate);
+        assert_eq!(m.event_tracer().unwrap().labels(), ["late", "late:as"]);
         m.charge(CoreId::new(0), "late", TraceKind::Guest, Cycles::new(5));
-        assert_eq!(m.trace().total_by_label("late"), Cycles::new(15));
+        assert_eq!(m.event_tracer().unwrap().total_by_label("late"), 15);
+    }
+
+    /// Table V's pattern: a tracer switched on for the last stretch of a
+    /// run and then taken out must leave the run's time exactly as an
+    /// untraced twin's.
+    #[test]
+    fn tracer_enabled_mid_run_and_taken_keeps_identical_time() {
+        let run = |traced: bool| {
+            let mut m = Machine::new(Topology::split(2, 1));
+            let before = thread_transitions();
+            charge_sequence(&mut m);
+            if traced {
+                m.enable_event_tracing(None);
+            }
+            charge_sequence(&mut m);
+            if traced {
+                let tracer = m.take_event_tracer().unwrap();
+                assert_eq!(tracer.recorded(), 120, "one slice per charge");
+            }
+            charge_sequence(&mut m);
+            (
+                m.clocks.clone(),
+                m.busy.clone(),
+                m.total_charged(),
+                thread_transitions().wrapping_sub(before),
+            )
+        };
+        let plain = run(false);
+        assert_eq!(plain.3, 360);
+        assert_eq!(run(true), plain);
     }
 
     #[test]
@@ -1368,6 +1349,7 @@ mod tests {
     #[test]
     fn trace_records_interval_and_order() {
         let mut m = two_core_machine();
+        m.enable_event_tracing(None);
         m.charge(CoreId::new(0), "first", TraceKind::Trap, Cycles::new(160));
         m.charge(
             CoreId::new(0),
@@ -1375,12 +1357,13 @@ mod tests {
             TraceKind::Return,
             Cycles::new(120),
         );
-        let evs = m.trace().events();
+        let evs = m.take_event_tracer().unwrap().slices();
         assert_eq!(evs[0].label, "first");
-        assert_eq!(evs[0].start, Cycles::ZERO);
-        assert_eq!(evs[0].end(), Cycles::new(160));
-        assert_eq!(evs[1].start, Cycles::new(160));
-        assert_eq!(evs[1].end(), Cycles::new(280));
+        assert_eq!(evs[0].kind, TraceKind::Trap);
+        assert_eq!(evs[0].start, 0);
+        assert_eq!(evs[0].start + evs[0].duration, 160);
+        assert_eq!(evs[1].start, 160);
+        assert_eq!(evs[1].start + evs[1].duration, 280);
     }
 
     // --- steady-state loop compilation ---------------------------------
@@ -1435,8 +1418,8 @@ mod tests {
 
     #[test]
     fn loop_replay_is_identical_to_interpretation() {
-        let mut compiled = Machine::without_tracing(Topology::split(2, 1));
-        let mut interpreted = Machine::without_tracing(Topology::split(2, 1));
+        let mut compiled = Machine::new(Topology::split(2, 1));
+        let mut interpreted = Machine::new(Topology::split(2, 1));
         drive(&mut compiled, 500, false, ping_pong);
         for i in 0..500 {
             ping_pong(&mut interpreted, i);
@@ -1452,8 +1435,8 @@ mod tests {
             m.charge(CoreId::new(0), "alt", TraceKind::Guest, Cycles::new(cost));
             ping_pong(m, i);
         };
-        let mut compiled = Machine::without_tracing(Topology::split(2, 1));
-        let mut interpreted = Machine::without_tracing(Topology::split(2, 1));
+        let mut compiled = Machine::new(Topology::split(2, 1));
+        let mut interpreted = Machine::new(Topology::split(2, 1));
         drive(&mut compiled, 501, false, body);
         for i in 0..501 {
             body(&mut interpreted, i);
@@ -1472,8 +1455,8 @@ mod tests {
             m.wait_until(CoreId::new(1), arrival);
             m.charge(CoreId::new(1), "rx", TraceKind::Io, Cycles::new(600));
         };
-        let mut compiled = Machine::without_tracing(Topology::split(2, 1));
-        let mut interpreted = Machine::without_tracing(Topology::split(2, 1));
+        let mut compiled = Machine::new(Topology::split(2, 1));
+        let mut interpreted = Machine::new(Topology::split(2, 1));
         drive(&mut compiled, 400, false, body);
         for i in 0..400 {
             body(&mut interpreted, i);
@@ -1486,7 +1469,7 @@ mod tests {
     fn loop_registers_reconstruct_loop_carried_values() {
         // A TCP_RR-style loop carrying the next send instant.
         let run = |use_loop: bool| -> (Machine, Cycles) {
-            let mut m = Machine::without_tracing(Topology::split(2, 1));
+            let mut m = Machine::new(Topology::split(2, 1));
             let mut t_send = Cycles::ZERO;
             if use_loop {
                 m.loop_begin();
@@ -1536,7 +1519,7 @@ mod tests {
             m.charge(CoreId::new(0), "guest", TraceKind::Guest, Cycles::new(80));
         };
         let mk = || {
-            let mut m = Machine::without_tracing(Topology::split(2, 1));
+            let mut m = Machine::new(Topology::split(2, 1));
             m.enable_profiling();
             m
         };
@@ -1569,7 +1552,7 @@ mod tests {
 
     #[test]
     fn plain_loop_begin_refuses_profiled_machines() {
-        let mut m = Machine::without_tracing(Topology::split(2, 1));
+        let mut m = Machine::new(Topology::split(2, 1));
         m.enable_profiling();
         assert!(!m.loop_begin());
         drive(&mut m, 100, false, ping_pong);
@@ -1578,30 +1561,30 @@ mod tests {
 
     #[test]
     fn ineligible_machines_stay_interpreted() {
-        // Tracing on.
+        // A machine with no observer is eligible.
         let mut m = Machine::new(Topology::split(2, 1));
-        assert!(!m.loop_begin());
+        assert!(m.loop_begin());
         // Fault plan installed.
-        let mut m = Machine::without_tracing(Topology::split(2, 1));
+        let mut m = Machine::new(Topology::split(2, 1));
         m.set_fault_plan(FaultPlan::new(7).with_occurrence(FaultPoint::VirqDrop, 3));
         assert!(!m.loop_begin());
         // Finite watchdog.
-        let mut m = Machine::without_tracing(Topology::split(2, 1));
+        let mut m = Machine::new(Topology::split(2, 1));
         m.set_watchdog(Watchdog {
             cycle_budget: Some(u64::MAX - 1),
             livelock_threshold: None,
         });
         assert!(!m.loop_begin());
         // Event tracing on.
-        let mut m = Machine::without_tracing(Topology::split(2, 1));
+        let mut m = Machine::new(Topology::split(2, 1));
         m.enable_event_tracing(None);
         assert!(!m.loop_begin());
         // Even with a session refused, the loop still runs correctly.
-        let mut refused = Machine::without_tracing(Topology::split(2, 1));
+        let mut refused = Machine::new(Topology::split(2, 1));
         refused.enable_event_tracing(None);
         drive(&mut refused, 50, false, ping_pong);
         assert_eq!(refused.iters_replayed(), 0);
-        let mut interpreted = Machine::without_tracing(Topology::split(2, 1));
+        let mut interpreted = Machine::new(Topology::split(2, 1));
         interpreted.enable_event_tracing(None);
         for i in 0..50 {
             ping_pong(&mut interpreted, i);
@@ -1611,7 +1594,7 @@ mod tests {
 
     #[test]
     fn config_changes_abort_an_open_session() {
-        let mut m = Machine::without_tracing(Topology::split(2, 1));
+        let mut m = Machine::new(Topology::split(2, 1));
         assert!(m.loop_begin());
         m.loop_iter_begin();
         ping_pong(&mut m, 0);
@@ -1635,8 +1618,8 @@ mod tests {
                 Cycles::new(100 + i),
             );
         };
-        let mut compiled = Machine::without_tracing(Topology::split(2, 1));
-        let mut interpreted = Machine::without_tracing(Topology::split(2, 1));
+        let mut compiled = Machine::new(Topology::split(2, 1));
+        let mut interpreted = Machine::new(Topology::split(2, 1));
         drive(&mut compiled, 200, false, body);
         for i in 0..200 {
             body(&mut interpreted, i);
@@ -1649,7 +1632,7 @@ mod tests {
     #[test]
     fn thread_transitions_counts_interpreted_and_replayed_alike() {
         let before = thread_transitions();
-        let mut m = Machine::without_tracing(Topology::split(2, 1));
+        let mut m = Machine::new(Topology::split(2, 1));
         drive(&mut m, 500, false, ping_pong);
         let counted = thread_transitions().wrapping_sub(before);
         // Two charges per iteration, whether interpreted or replayed.

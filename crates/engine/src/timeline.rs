@@ -1,13 +1,13 @@
-//! ASCII timeline rendering of a trace — the simulator's answer to the
-//! paper's hand-drawn transition diagrams.
+//! ASCII timeline rendering of event-tracer slices — the simulator's
+//! answer to the paper's hand-drawn transition diagrams.
 //!
-//! A [`TraceLog`] holds per-core, cycle-stamped intervals; [`render`]
-//! lays them out as one lane per core so cross-core causality (an IPI
-//! leaving one core and work starting on another) is visible at a
-//! glance. Used by the quickstart example and by humans debugging new
-//! hypervisor paths.
+//! An [`crate::EventTracer`] holds per-core, cycle-stamped slices;
+//! [`render`] lays them out as one lane per core so cross-core causality
+//! (work ending on one core and its consequence starting on another) is
+//! visible at a glance. Used by the quickstart example and by humans
+//! debugging new hypervisor paths.
 
-use crate::{Cycles, TraceKind, TraceLog};
+use crate::{Cycles, SliceEvent, TraceKind};
 use std::collections::BTreeMap;
 
 /// Options for timeline rendering.
@@ -47,10 +47,11 @@ fn glyph(kind: TraceKind) -> char {
     }
 }
 
-/// Renders the trace as one lane per core plus a legend.
+/// Renders `slices` (see [`crate::EventTracer::slices`]) as one lane per
+/// core plus a legend.
 ///
-/// Each lane shows the core's activity across the trace's time span,
-/// with one glyph per time bucket chosen from the event covering most of
+/// Each lane shows the core's activity across the slices' time span,
+/// with one glyph per time bucket chosen from the slice covering most of
 /// that bucket.
 ///
 /// # Examples
@@ -59,41 +60,40 @@ fn glyph(kind: TraceKind) -> char {
 /// use hvx_engine::{timeline, Machine, Topology, TraceKind, Cycles};
 ///
 /// let mut m = Machine::new(Topology::split(2, 1));
+/// m.enable_event_tracing(None);
 /// let c = m.topology().guest_core(0);
 /// m.charge(c, "guest:work", TraceKind::Guest, Cycles::new(100));
 /// m.charge(c, "hw:trap", TraceKind::Trap, Cycles::new(50));
-/// let art = timeline::render(m.trace(), timeline::TimelineOptions::default());
+/// let slices = m.take_event_tracer().unwrap().slices();
+/// let art = timeline::render(&slices, timeline::TimelineOptions::default());
 /// assert!(art.contains("pcpu0"));
 /// ```
-pub fn render(trace: &TraceLog, opts: TimelineOptions) -> String {
-    let events: Vec<_> = trace
-        .events()
-        .iter()
-        .filter(|e| e.duration >= opts.min_duration)
-        .collect();
+pub fn render(slices: &[SliceEvent], opts: TimelineOptions) -> String {
+    let min = opts.min_duration.as_u64();
+    let events: Vec<_> = slices.iter().filter(|e| e.duration >= min).collect();
     // No unwrap/expect on the bounds: a trace that filters down to
     // nothing (or is empty outright) renders as an explicit marker
     // instead of panicking.
     let (Some(t0), Some(t1)) = (
         events.iter().map(|e| e.start).min(),
-        events.iter().map(|e| e.end()).max(),
+        events.iter().map(|e| e.start + e.duration).max(),
     ) else {
         return "(empty trace)\n".to_string();
     };
-    let span = (t1 - t0).as_u64().max(1);
+    let span = (t1 - t0).max(1);
     let width = opts.width.max(8);
 
     // Per-core lanes: for each bucket keep the event covering it longest.
-    let mut lanes: BTreeMap<usize, Vec<(char, u64)>> = BTreeMap::new();
+    let mut lanes: BTreeMap<u8, Vec<(char, u64)>> = BTreeMap::new();
     for e in &events {
         let lane = lanes
-            .entry(e.core.index())
+            .entry(e.track)
             .or_insert_with(|| vec![(' ', 0); width]);
-        let sb = ((e.start - t0).as_u64() * width as u64 / span) as usize;
-        let eb = (((e.end() - t0).as_u64() * width as u64).div_ceil(span) as usize).min(width);
+        let sb = ((e.start - t0) * width as u64 / span) as usize;
+        let eb = (((e.start + e.duration - t0) * width as u64).div_ceil(span) as usize).min(width);
         for slot in lane.iter_mut().take(eb.max(sb + 1).min(width)).skip(sb) {
-            if e.duration.as_u64() >= slot.1 {
-                *slot = (glyph(e.kind), e.duration.as_u64());
+            if e.duration >= slot.1 {
+                *slot = (glyph(e.kind), e.duration);
             }
         }
     }
@@ -101,8 +101,8 @@ pub fn render(trace: &TraceLog, opts: TimelineOptions) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "timeline: {} .. {} cycles ({} per column)\n",
-        t0,
-        t1,
+        Cycles::new(t0),
+        Cycles::new(t1),
         Cycles::new(span / width as u64)
     ));
     for (core, lane) in &lanes {
@@ -124,8 +124,9 @@ mod tests {
     use super::*;
     use crate::{CoreId, Machine, Topology};
 
-    fn sample_machine() -> Machine {
+    fn sample_slices() -> Vec<SliceEvent> {
         let mut m = Machine::new(Topology::split(2, 1));
+        m.enable_event_tracing(None);
         let a = CoreId::new(0);
         let b = CoreId::new(1);
         m.charge(a, "guest:run", TraceKind::Guest, Cycles::new(500));
@@ -133,13 +134,12 @@ mod tests {
         let arr = m.signal(a, b, Cycles::new(200));
         m.wait_until(b, arr);
         m.charge(b, "host:work", TraceKind::Host, Cycles::new(300));
-        m
+        m.take_event_tracer().unwrap().slices()
     }
 
     #[test]
     fn renders_one_lane_per_active_core() {
-        let m = sample_machine();
-        let art = render(m.trace(), TimelineOptions::default());
+        let art = render(&sample_slices(), TimelineOptions::default());
         assert!(art.contains("pcpu0"));
         assert!(art.contains("pcpu1"));
         assert!(art.contains('g'), "guest glyph present:\n{art}");
@@ -149,8 +149,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_explicit() {
-        let log = TraceLog::new();
-        assert_eq!(render(&log, TimelineOptions::default()), "(empty trace)\n");
+        assert_eq!(render(&[], TimelineOptions::default()), "(empty trace)\n");
     }
 
     /// Regression: a non-empty trace whose every event is filtered out
@@ -158,9 +157,8 @@ mod tests {
     /// missing minimum (the old `expect("non-empty")` path).
     #[test]
     fn fully_filtered_trace_renders_empty_marker() {
-        let m = sample_machine();
         let art = render(
-            m.trace(),
+            &sample_slices(),
             TimelineOptions {
                 width: 40,
                 min_duration: Cycles::MAX,
@@ -171,9 +169,8 @@ mod tests {
 
     #[test]
     fn min_duration_filters_noise() {
-        let m = sample_machine();
         let art = render(
-            m.trace(),
+            &sample_slices(),
             TimelineOptions {
                 width: 40,
                 min_duration: Cycles::new(450),
@@ -192,12 +189,11 @@ mod tests {
 
     #[test]
     fn lanes_have_constant_width() {
-        let m = sample_machine();
         let opts = TimelineOptions {
             width: 30,
             min_duration: Cycles::ZERO,
         };
-        let art = render(m.trace(), opts);
+        let art = render(&sample_slices(), opts);
         for line in art.lines().filter(|l| l.contains("|")) {
             let inner = line.split('|').nth(1).unwrap();
             assert_eq!(inner.chars().count(), 30, "{line}");
@@ -207,12 +203,13 @@ mod tests {
     #[test]
     fn longer_events_win_bucket_conflicts() {
         let mut m = Machine::new(Topology::split(2, 1));
+        m.enable_event_tracing(None);
         let c = CoreId::new(0);
         // A long event followed by a tiny one in the same bucket.
         m.charge(c, "big", TraceKind::Guest, Cycles::new(10_000));
         m.charge(c, "tiny", TraceKind::Trap, Cycles::new(1));
         let art = render(
-            m.trace(),
+            &m.take_event_tracer().unwrap().slices(),
             TimelineOptions {
                 width: 10,
                 min_duration: Cycles::ZERO,

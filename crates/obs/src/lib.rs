@@ -46,4 +46,6 @@ pub use log::{LogLevel, LogValue};
 pub use metrics::{HistogramSketch, MetricsRegistry};
 pub use prom::{parse_exposition, sanitize_metric_name, PromSample, PromText};
 pub use span::{SpanRow, SpanTracer, TransitionId};
-pub use tracing::{EventTracer, FlowChain, FlowId, FlowKind, FlowPhase, FlowPoint, SliceEvent};
+pub use tracing::{
+    EventTracer, FlowChain, FlowId, FlowKind, FlowPhase, FlowPoint, SliceEvent, TraceKind,
+};

@@ -116,6 +116,63 @@ impl FlowPhase {
     }
 }
 
+/// Broad classification of a charged step, used for coarse aggregation
+/// (e.g. "how much of this hypercall was context switching?") and for
+/// the glyphs of the engine's ASCII timeline.
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
+)]
+pub enum TraceKind {
+    /// Hardware trap entry (EL1→EL2, VM exit, interrupt entry).
+    Trap,
+    /// Return from the hypervisor to a lower level (ERET, VM entry).
+    Return,
+    /// Saving register state to memory.
+    ContextSave,
+    /// Restoring register state from memory.
+    ContextRestore,
+    /// Software emulation work in the hypervisor (GIC distributor access,
+    /// instruction decode, hypercall handling).
+    Emulation,
+    /// Physical inter-processor interrupt work.
+    Ipi,
+    /// I/O backend work (vhost handler, netback, device driver).
+    Io,
+    /// Data copy (grant copy, bounce buffer).
+    Copy,
+    /// Work executing inside a guest (or native application) context.
+    Guest,
+    /// Work executing in host OS / Dom0 context other than I/O backends.
+    Host,
+    /// Scheduler activity (VM switch, idle-domain wake).
+    Sched,
+    /// Time on the physical wire between machines.
+    Wire,
+    /// Anything else.
+    Other,
+}
+
+impl std::fmt::Display for TraceKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let s = match self {
+            TraceKind::Trap => "trap",
+            TraceKind::Return => "return",
+            TraceKind::ContextSave => "save",
+            TraceKind::ContextRestore => "restore",
+            TraceKind::Emulation => "emulation",
+            TraceKind::Ipi => "ipi",
+            TraceKind::Io => "io",
+            TraceKind::Copy => "copy",
+            TraceKind::Guest => "guest",
+            TraceKind::Host => "host",
+            TraceKind::Sched => "sched",
+            TraceKind::Wire => "wire",
+            TraceKind::Other => "other",
+        };
+        f.pad(s)
+    }
+}
+
 /// One timestamped interval of charged work on a track — a Chrome
 /// complete event (`ph:"X"`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,8 +184,11 @@ pub struct SliceEvent {
     /// Duration in cycles (zero-cost charges still record: they mark
     /// causal steps).
     pub duration: u64,
-    /// The charge label (e.g. `kvm:vgic-inject`).
+    /// The charge label (e.g. `kvm:vgic-inject`). Labels are namespaced
+    /// with `:`.
     pub label: &'static str,
+    /// The charge's step classification. Not exported to Chrome JSON.
+    pub kind: TraceKind,
     /// The transition the charge was attributed to, if charged through
     /// a span (`charge_as`).
     pub transition: Option<TransitionId>,
@@ -243,13 +303,13 @@ impl<T: Copy> Ring<T> {
 /// # Examples
 ///
 /// ```
-/// use hvx_obs::{EventTracer, FlowKind, TransitionId};
+/// use hvx_obs::{EventTracer, FlowKind, TraceKind, TransitionId};
 ///
 /// let mut t = EventTracer::new();
-/// t.record_slice(0, 0, 100, "guest:kick", Some(TransitionId::VhostKick));
+/// t.record_slice(0, 0, 100, "guest:kick", TraceKind::Guest, Some(TransitionId::VhostKick));
 /// let flow = t.flow_begin(FlowKind::VirtioKick, 0, 100, "virtio:kick");
 /// t.flow_step(flow, 4, 700, "vhost:wake");
-/// t.record_slice(4, 700, 2_000, "kvm:vhost-tx", Some(TransitionId::VhostBackend));
+/// t.record_slice(4, 700, 2_000, "kvm:vhost-tx", TraceKind::Io, Some(TransitionId::VhostBackend));
 /// t.flow_end(flow, 4, 2_700, "nic:dma");
 /// let chains = t.chains();
 /// assert_eq!(chains.len(), 1);
@@ -308,6 +368,7 @@ impl EventTracer {
         start: u64,
         duration: u64,
         label: &'static str,
+        kind: TraceKind,
         transition: Option<TransitionId>,
     ) {
         let fault = std::mem::take(&mut self.pending_fault);
@@ -318,6 +379,7 @@ impl EventTracer {
             start,
             duration,
             label,
+            kind,
             transition,
             fault,
             seq,
@@ -392,6 +454,33 @@ impl EventTracer {
     /// Surviving slices, oldest first.
     pub fn slices(&self) -> Vec<SliceEvent> {
         self.slices.in_order()
+    }
+
+    /// The labels of the surviving slices, oldest first — convenient for
+    /// asserting the exact step sequence of a code path.
+    pub fn labels(&self) -> Vec<&'static str> {
+        self.slices.in_order().iter().map(|s| s.label).collect()
+    }
+
+    /// Sum of the durations of the surviving slices labelled `label` —
+    /// the per-step totals behind the paper's breakdown tables.
+    pub fn total_by_label(&self, label: &str) -> u64 {
+        self.slices
+            .items
+            .iter()
+            .filter(|s| s.label == label)
+            .map(|s| s.duration)
+            .sum()
+    }
+
+    /// Whether `needle` occurs as a (not necessarily contiguous)
+    /// subsequence of [`EventTracer::labels`]: asserts that a path passed
+    /// through required steps in order without pinning every
+    /// intermediate step.
+    pub fn contains_label_subsequence(&self, needle: &[&str]) -> bool {
+        let labels = self.labels();
+        let mut rest = labels.iter();
+        needle.iter().all(|want| rest.any(|l| l == want))
     }
 
     /// Surviving flow points, oldest first.
@@ -589,10 +678,17 @@ mod tests {
     #[test]
     fn slices_record_in_order_with_fault_marks() {
         let mut t = EventTracer::new();
-        t.record_slice(0, 0, 10, "a", None);
+        t.record_slice(0, 0, 10, "a", TraceKind::Other, None);
         t.note_fault();
-        t.record_slice(1, 10, 20, "b", Some(TransitionId::GrantRetry));
-        t.record_slice(1, 30, 5, "c", None);
+        t.record_slice(
+            1,
+            10,
+            20,
+            "b",
+            TraceKind::Other,
+            Some(TransitionId::GrantRetry),
+        );
+        t.record_slice(1, 30, 5, "c", TraceKind::Other, None);
         let s = t.slices();
         assert_eq!(s.len(), 3);
         assert!(!s[0].fault);
@@ -605,10 +701,35 @@ mod tests {
     }
 
     #[test]
+    fn label_queries_sum_and_order_slices() {
+        let mut t = EventTracer::new();
+        for (label, dur) in [("save:gp", 152), ("save:vgic", 3250), ("save:gp", 152)] {
+            t.record_slice(0, 0, dur, label, TraceKind::ContextSave, None);
+        }
+        assert_eq!(t.total_by_label("save:gp"), 304);
+        assert_eq!(t.total_by_label("save:vgic"), 3250);
+        assert_eq!(t.total_by_label("missing"), 0);
+        assert_eq!(t.labels(), ["save:gp", "save:vgic", "save:gp"]);
+        assert_eq!(t.slices()[1].kind, TraceKind::ContextSave);
+    }
+
+    #[test]
+    fn label_subsequence_matching() {
+        let mut t = EventTracer::new();
+        for l in ["trap:el2", "save:gp", "save:vgic", "restore:gp", "eret"] {
+            t.record_slice(0, 0, 1, l, TraceKind::Other, None);
+        }
+        assert!(t.contains_label_subsequence(&["trap:el2", "save:vgic", "eret"]));
+        assert!(t.contains_label_subsequence(&[]));
+        assert!(!t.contains_label_subsequence(&["eret", "trap:el2"]));
+        assert!(!t.contains_label_subsequence(&["nope"]));
+    }
+
+    #[test]
     fn ring_keeps_newest_and_counts_drops() {
         let mut t = EventTracer::with_capacity(2);
         for i in 0..5u64 {
-            t.record_slice(0, i * 10, 1, "s", None);
+            t.record_slice(0, i * 10, 1, "s", TraceKind::Other, None);
         }
         let s = t.slices();
         assert_eq!(s.len(), 2);
@@ -669,7 +790,7 @@ mod tests {
         let b = t.flow_begin(FlowKind::VirtioKick, 0, 100, "kick");
         t.flow_end(b, 5, 2_100, "dma");
         let _c = t.flow_begin(FlowKind::GrantCopy, 5, 50, "copy"); // never ends
-        t.record_slice(0, 0, 10, "s", None);
+        t.record_slice(0, 0, 10, "s", TraceKind::Other, None);
         let mut m = MetricsRegistry::new();
         t.derive_metrics(&mut m);
         assert_eq!(m.counter("trace.events"), 1);
@@ -686,7 +807,14 @@ mod tests {
     #[test]
     fn chrome_trace_shape_is_valid() {
         let mut t = EventTracer::new();
-        t.record_slice(0, 0, 100, "guest:kick", Some(TransitionId::VhostKick));
+        t.record_slice(
+            0,
+            0,
+            100,
+            "guest:kick",
+            TraceKind::Guest,
+            Some(TransitionId::VhostKick),
+        );
         let f = t.flow_begin(FlowKind::VirtioKick, 0, 100, "kick");
         t.flow_end(f, 4, 900, "dma");
         let v = t.chrome_trace("hvx kvm-arm", &["pcpu0".to_string()]);
@@ -700,6 +828,10 @@ mod tests {
         assert_eq!(slice["ph"].as_str(), Some("X"));
         assert_eq!(slice["dur"].as_u64(), Some(100));
         assert_eq!(slice["args"]["transition"].as_str(), Some("vhost_kick"));
+        assert!(
+            slice.get("kind").is_none() && slice["args"].get("kind").is_none(),
+            "the step kind stays out of the Chrome JSON"
+        );
         let begin = &events[4];
         assert_eq!(begin["ph"].as_str(), Some("s"));
         assert_eq!(begin["id"].as_u64(), Some(0));

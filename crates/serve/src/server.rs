@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use hvx_core::Error;
+use hvx_core::{Error, Fingerprint};
 use hvx_obs::log::{self as olog, LogValue};
 use hvx_obs::{HistogramSketch, PromText};
 use serde_json::Value;
@@ -671,8 +671,20 @@ fn route_json(shared: &Shared, req: &Request) -> (u16, String) {
 
 /// `GET /trace/<fingerprint>?top=K`: ranked critical chains from the
 /// executor's stored trace for an already-computed result. A pure
-/// cache read — no worker is involved and nothing re-runs.
+/// cache read — no worker is involved and nothing re-runs. The segment
+/// must be a canonical fingerprint before it gets anywhere near the
+/// executor: it names a file in the cache directory.
 fn trace_query(shared: &Shared, req: &Request, fingerprint: &str) -> (u16, String) {
+    if Fingerprint::parse_hex(fingerprint).is_none() {
+        return (
+            400,
+            error_body(
+                "bad-request",
+                "fingerprint must be 32 lowercase hex digits",
+                vec![],
+            ),
+        );
+    }
     let top = match req.query_value("top") {
         None => 5usize,
         Some(t) => match t.parse::<usize>() {

@@ -673,10 +673,11 @@ fn stats_carry_uptime_and_worker_pool_gauges() {
 
 #[test]
 fn trace_queries_answer_from_cache_without_a_worker_run() {
+    const TRACED: &str = "0123456789abcdef0123456789abcdef";
     let exec = Arc::new(MockExec::default());
     exec.traces.lock().unwrap().insert(
-        "fp-ok:traced".into(),
-        r#"{"fingerprint":"fp-ok:traced","chains":[
+        TRACED.into(),
+        r#"{"fingerprint":"0123456789abcdef0123456789abcdef","chains":[
             {"id":3,"latency_cycles":900},
             {"id":1,"latency_cycles":500},
             {"id":2,"latency_cycles":100}]}"#
@@ -686,7 +687,7 @@ fn trace_queries_answer_from_cache_without_a_worker_run() {
 
     // Hit: ranked chains come back truncated to `top`, annotated with
     // the full count — and the worker pool never ran anything.
-    let (status, v) = client::trace(&addr, "fp-ok:traced", 2).unwrap();
+    let (status, v) = client::trace(&addr, TRACED, 2).unwrap();
     assert_eq!(status, 200);
     let chains = v.get("chains").and_then(Value::as_array).unwrap();
     assert_eq!(chains.len(), 2);
@@ -696,9 +697,17 @@ fn trace_queries_answer_from_cache_without_a_worker_run() {
     assert_eq!(exec.run_calls.load(Ordering::SeqCst), 0);
 
     // Miss: unknown fingerprints 404 without triggering a re-run.
-    let (status, v) = client::trace(&addr, "fp-unknown", 5).unwrap();
+    let (status, v) = client::trace(&addr, &"f".repeat(32), 5).unwrap();
     assert_eq!(status, 404);
     assert_eq!(str_of(&v, "error"), "not-found");
     assert_eq!(exec.run_calls.load(Ordering::SeqCst), 0);
+
+    // Anything but a canonical fingerprint is refused before the
+    // executor sees it: it would name a file outside the cache.
+    for bad in ["fp-unknown", "../../x", "/tmp/x", &TRACED.to_uppercase()] {
+        let (status, v) = client::trace(&addr, bad, 5).unwrap();
+        assert_eq!(status, 400, "{bad}: {v:?}");
+        assert_eq!(str_of(&v, "error"), "bad-request");
+    }
     stop(&addr, handle);
 }

@@ -244,8 +244,10 @@ impl ResultCache {
         &self.dir
     }
 
-    fn entry_path(&self, fp: Fingerprint) -> PathBuf {
-        self.dir.join(format!("{}.json", fp.to_hex()))
+    /// Where the entry keyed `key` (a hex fingerprint, or a key derived
+    /// from one) lives.
+    fn entry_path(&self, key: impl std::fmt::Display) -> PathBuf {
+        self.dir.join(format!("{key}.json"))
     }
 
     /// Looks up the stored result for `scenario` under `cfg`. Counts a
@@ -254,28 +256,38 @@ impl ResultCache {
     /// fingerprint, undecodable payload — all treated as misses).
     pub fn lookup(&self, scenario: Scenario, cfg: &RunnerConfig) -> Option<Output> {
         let fp = scenario_fingerprint(scenario, cfg)?;
-        match self.read_entry(fp) {
-            Some(output) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(output)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let output = self.read_entry(&fp.to_hex(), decode_output);
+        self.count(output)
     }
 
-    fn read_entry(&self, fp: Fingerprint) -> Option<Output> {
-        let text = std::fs::read_to_string(self.entry_path(fp)).ok()?;
+    /// Reads the entry stored under `key` (`<key>.json`) and hands its
+    /// kind tag and payload to `decode`. An unreadable entry, a wrong
+    /// schema, or a stored fingerprint other than `key` is a miss.
+    fn read_entry<T>(
+        &self,
+        key: &str,
+        decode: impl FnOnce(&str, &Value) -> Option<T>,
+    ) -> Option<T> {
+        let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
         let entry = serde_json::parse_value(&text).ok()?;
         if entry.get("schema")?.as_u64()? != u64::from(SCHEMA_VERSION) {
             return None;
         }
-        if entry.get("fingerprint")?.as_str()? != fp.to_hex() {
+        if entry.get("fingerprint")?.as_str()? != key {
             return None;
         }
-        decode_output(entry.get("kind")?.as_str()?, entry.get("payload")?)
+        decode(entry.get("kind")?.as_str()?, entry.get("payload")?)
+    }
+
+    /// Counts a lookup's outcome as a hit or a miss.
+    fn count<T>(&self, found: Option<T>) -> Option<T> {
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
     /// Stores a clean result. Best-effort: I/O failures drop the entry
@@ -288,14 +300,24 @@ impl ResultCache {
         let Some((tag, payload)) = encode_output(output) else {
             return;
         };
-        let entry = Value::Object(vec![
+        self.write_entry(&fp.to_hex(), Some(scenario.label()), tag, payload);
+    }
+
+    /// Installs the entry for `key` as `<key>.json`: schema, `key` as its
+    /// fingerprint, the scenario label when there is one, the kind tag
+    /// and the payload. Best-effort: an I/O failure leaves no entry and
+    /// no temp file behind.
+    fn write_entry(&self, key: &str, scenario: Option<String>, kind: &str, payload: Value) {
+        let mut fields = vec![
             ("schema".to_string(), Value::U64(u64::from(SCHEMA_VERSION))),
-            ("fingerprint".to_string(), Value::Str(fp.to_hex())),
-            ("scenario".to_string(), Value::Str(scenario.label())),
-            ("kind".to_string(), Value::Str(tag.to_string())),
-            ("payload".to_string(), payload),
-        ]);
-        let Ok(text) = serde_json::to_string_pretty(&entry) else {
+            ("fingerprint".to_string(), Value::Str(key.to_string())),
+        ];
+        if let Some(label) = scenario {
+            fields.push(("scenario".to_string(), Value::Str(label)));
+        }
+        fields.push(("kind".to_string(), Value::Str(kind.to_string())));
+        fields.push(("payload".to_string(), payload));
+        let Ok(text) = serde_json::to_string_pretty(Value::Object(fields)) else {
             return;
         };
         // Unique temp name per (process, handle, write): concurrent
@@ -303,12 +325,11 @@ impl ResultCache {
         // only ever see complete entries. Content addressing makes the
         // race benign — both writers install identical bytes.
         let tmp = self.dir.join(format!(
-            "{}.{}.{}.tmp",
-            fp.to_hex(),
+            "{key}.{}.{}.tmp",
             std::process::id(),
             self.tmp_seq.fetch_add(1, Ordering::Relaxed),
         ));
-        if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, self.entry_path(fp)).is_ok()
+        if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, self.entry_path(key)).is_ok()
         {
             self.stores.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -323,56 +344,16 @@ impl ResultCache {
     /// entries (schema, fingerprint, and kind must all match; anything
     /// else is a miss).
     pub fn lookup_raw(&self, fp_hex: &str, kind: &str) -> Option<Value> {
-        let path = self.dir.join(format!("{fp_hex}.json"));
-        let found = (|| {
-            let text = std::fs::read_to_string(path).ok()?;
-            let entry = serde_json::parse_value(&text).ok()?;
-            if entry.get("schema")?.as_u64()? != u64::from(SCHEMA_VERSION) {
-                return None;
-            }
-            if entry.get("fingerprint")?.as_str()? != fp_hex {
-                return None;
-            }
-            if entry.get("kind")?.as_str()? != kind {
-                return None;
-            }
-            Some(entry.get("payload")?.clone())
-        })();
-        match found {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let payload = self.read_entry(fp_hex, |tag, payload| {
+            (tag == kind).then(|| payload.clone())
+        });
+        self.count(payload)
     }
 
     /// Stores a raw entry under a hex fingerprint. Same atomicity and
     /// best-effort semantics as [`ResultCache::store`].
     pub fn store_raw(&self, fp_hex: &str, kind: &str, payload: Value) {
-        let entry = Value::Object(vec![
-            ("schema".to_string(), Value::U64(u64::from(SCHEMA_VERSION))),
-            ("fingerprint".to_string(), Value::Str(fp_hex.to_string())),
-            ("kind".to_string(), Value::Str(kind.to_string())),
-            ("payload".to_string(), payload),
-        ]);
-        let Ok(text) = serde_json::to_string_pretty(&entry) else {
-            return;
-        };
-        let tmp = self.dir.join(format!(
-            "{fp_hex}.{}.{}.tmp",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed),
-        ));
-        let dst = self.dir.join(format!("{fp_hex}.json"));
-        if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, dst).is_ok() {
-            self.stores.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let _ = std::fs::remove_file(&tmp);
-        }
+        self.write_entry(fp_hex, None, kind, payload);
     }
 
     /// Counters accumulated by this handle since [`ResultCache::open`].

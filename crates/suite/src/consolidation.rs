@@ -216,7 +216,7 @@ struct Costs {
 }
 
 fn probe_costs(kind: HvKind) -> Result<Costs, Error> {
-    let mut sim = SimBuilder::new(kind).without_tracing().build()?;
+    let mut sim = SimBuilder::new(kind).build()?;
     Ok(Costs {
         switch: sim.vm_switch().as_u64(),
         ipi_send: sim.virtual_ipi(0, 1).as_u64(),
@@ -914,7 +914,6 @@ pub fn run_cell_machine(cfg: CellConfig) -> Result<(CellResult, Box<dyn Hypervis
     assert!(cfg.ratio >= 1, "ratio must be at least 1:1");
     let costs = probe_costs(cfg.kind)?;
     let mut hv = SimBuilder::new(cfg.kind)
-        .without_tracing()
         .profiling(cfg.profiling)
         .build()?
         .into_inner();

@@ -148,18 +148,9 @@ impl Table2 {
     /// Propagates configuration failures (e.g. a rejected cost
     /// perturbation) so the runner can degrade the artifact.
     pub fn measure(iters: usize) -> Result<Table2, Error> {
-        // Thousands of iterations × dozens of charged steps each: keep
-        // only (kind, label) totals instead of storing every TraceEvent.
-        // Breakdown queries stay exact; the charge hot path stops
-        // allocating.
         let mut hvs: Vec<Box<dyn Hypervisor>> = Vec::with_capacity(paper::COLUMNS.len());
         for kind in paper::COLUMNS {
-            hvs.push(
-                SimBuilder::new(kind)
-                    .tracing(hvx_engine::TraceMode::Aggregate)
-                    .build()?
-                    .into_inner(),
-            );
+            hvs.push(SimBuilder::new(kind).build()?.into_inner());
         }
         let mut rows = Vec::new();
         for (mi, micro) in Micro::ALL.into_iter().enumerate() {

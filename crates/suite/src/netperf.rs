@@ -16,7 +16,7 @@
 //! * **send** — the NIC DMA of the response completes (`nic:dma` end).
 
 use hvx_core::{Error, HvKind, Hypervisor, SimBuilder, Workload};
-use hvx_engine::{Cycles, FaultPoint, Frequency, TraceKind, TransitionId};
+use hvx_engine::{Cycles, FaultPoint, Frequency, SliceEvent, TraceKind, TransitionId};
 use serde::{Deserialize, Serialize};
 
 /// Client turnaround: server send → request back at the server NIC
@@ -146,12 +146,11 @@ pub struct RrColumn {
 }
 
 /// Runs `transactions` closed-loop 1-byte RR transactions on `hv` and
-/// decomposes the final transaction from the trace.
+/// decomposes the final transaction from the event tracer's slices.
 ///
-/// # Panics
-///
-/// Panics if the hypervisor's I/O path produces no trace events (the
-/// trace must be enabled, which `Machine::new` guarantees).
+/// The machine's event tracer is switched on for that transaction only
+/// and taken out afterwards: a tracer installed before the call is
+/// replaced, and the machine leaves the call untraced.
 pub fn run_rr(hv: &mut dyn Hypervisor, transactions: usize, freq: Frequency) -> RrColumn {
     run_rr_lossy(hv, transactions, freq).0
 }
@@ -176,8 +175,9 @@ pub fn run_rr_lossy(
     let mut stats = RrFaultStats::default();
     for i in 0..transactions {
         let trace_this = i == transactions - 1;
+        // Only the last transaction is decomposed, so only it is traced.
         if trace_this {
-            hv.machine_mut().trace_mut().clear();
+            hv.machine_mut().enable_event_tracing(None);
         }
         let nic_arrival = t_send + client_rtt;
         let (_vm_done, vcpu) = hv.receive(1, nic_arrival);
@@ -185,7 +185,11 @@ pub fn run_rr_lossy(
         let sent = hv.transmit(vcpu, 1);
         let send_done = tcp_reply_with_retransmits(hv, vcpu, sent, freq, Some(&mut stats));
         if trace_this {
-            last = TransactionInstants::extract(hv, nic_arrival, send_done);
+            let tracer = hv
+                .machine_mut()
+                .take_event_tracer()
+                .expect("event tracing was enabled above");
+            last = TransactionInstants::extract(&tracer.slices(), nic_arrival, send_done);
         }
         t_send = send_done;
     }
@@ -217,22 +221,18 @@ struct TransactionInstants {
 }
 
 impl TransactionInstants {
-    fn extract(hv: &dyn Hypervisor, nic_arrival: Cycles, send_done: Cycles) -> Self {
-        let trace = hv.machine().trace();
+    fn extract(slices: &[SliceEvent], nic_arrival: Cycles, send_done: Cycles) -> Self {
         let find_start = |label: &str| {
-            trace
-                .events()
+            slices
                 .iter()
-                .find(|e| e.label == label)
-                .map(|e| e.start)
+                .find(|s| s.label == label)
+                .map(|s| Cycles::new(s.start))
         };
         let find_end = |label: &str| {
-            trace
-                .events()
+            slices
                 .iter()
-                .rev()
-                .find(|e| e.label == label)
-                .map(|e| e.end())
+                .rfind(|s| s.label == label)
+                .map(|s| Cycles::new(s.start + s.duration))
         };
         let recv = find_start("host:net-stack-rx")
             .or_else(|| find_start("native:net-stack-rx"))

@@ -2,7 +2,7 @@
 //! instrumentation.
 //!
 //! Where [`crate::table3`] regenerates the paper's hypercall breakdown
-//! from the step trace of a single microbenchmark, this module profiles
+//! from the event tracer's slices of one hypercall, this module profiles
 //! whole *workload runs*: it builds a paper-shape [`ScenarioSpec`] with
 //! [`SimBuilder::profiling`] enabled, runs the workload's operation mix,
 //! and reads the span tracer back — so the breakdown is produced by the
@@ -24,7 +24,7 @@
 
 use crate::{runner, spec_run};
 use hvx_core::{Error, HvKind, ScenarioSpec, Workload};
-use hvx_engine::{ProfileSnapshot, TraceMode, TransitionId};
+use hvx_engine::{ProfileSnapshot, TransitionId};
 use serde::Serialize;
 
 /// The default profile set: the paper's canonical netperf workload on
@@ -65,8 +65,7 @@ pub struct ProfileReport {
 /// account for every busy cycle (an instrumentation bug, not a user
 /// error — surfaced rather than silently mis-reported).
 pub fn run_profile(spec: &ScenarioSpec) -> Result<ProfileReport, Error> {
-    let (mut sim, makespan) =
-        spec_run::run_paper_sim(spec, |b| b.tracing(TraceMode::Aggregate).profiling(true))?;
+    let (mut sim, makespan) = spec_run::run_paper_sim(spec, |b| b.profiling(true))?;
     sim.sample_metrics();
 
     let machine = sim.machine();

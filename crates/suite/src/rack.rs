@@ -208,7 +208,7 @@ struct Costs {
 }
 
 fn probe_costs(kind: HvKind) -> Result<Costs, Error> {
-    let mut sim = SimBuilder::new(kind).without_tracing().build()?;
+    let mut sim = SimBuilder::new(kind).build()?;
     Ok(Costs {
         ipi_send: sim.virtual_ipi(0, 1).as_u64(),
         virq_recv: sim.deliver_virq(1).as_u64(),
@@ -305,7 +305,7 @@ pub fn run_cell_with(cfg: &CellConfig) -> Result<CellResult, Error> {
 
     let mut sim = ShardSim::new(Cycles::new(RACK_WIRE));
     for h in 0..cfg.hosts as usize {
-        let mut machine = Machine::without_tracing(Topology::paper_default());
+        let mut machine = Machine::new(Topology::paper_default());
         if let Some(plan) = &cfg.fault {
             machine.set_fault_plan(plan.clone());
         }

@@ -2,8 +2,8 @@
 //!
 //! The paper instruments KVM ARM's world switch to attribute the
 //! hypercall cost to register classes; hvx regenerates the table from
-//! the transition trace — each `save:*` / `restore:*` step the world
-//! switch charged during one hypercall.
+//! the event tracer's slices — each `save:*` / `restore:*` step the
+//! world switch charged during one hypercall.
 
 use crate::paper;
 use hvx_core::{Error, HvKind, SimBuilder};
@@ -53,15 +53,18 @@ impl Table3 {
     /// perturbation) so the runner can degrade the artifact.
     pub fn measure() -> Result<Table3, Error> {
         let mut kvm = SimBuilder::new(HvKind::KvmArm).build()?;
-        kvm.machine_mut().trace_mut().clear();
+        kvm.machine_mut().enable_event_tracing(None);
         let total = kvm.hypercall(0);
-        let trace = kvm.machine().trace();
+        let trace = kvm
+            .machine_mut()
+            .take_event_tracer()
+            .expect("event tracing was enabled above");
         let mut rows = Vec::new();
         for (i, (class, save_label, restore_label)) in CLASS_LABELS.iter().enumerate() {
             rows.push(BreakdownRow {
                 class,
-                save: trace.total_by_label(save_label).as_u64(),
-                restore: trace.total_by_label(restore_label).as_u64(),
+                save: trace.total_by_label(save_label),
+                restore: trace.total_by_label(restore_label),
                 paper_save: paper::TABLE3[i].1,
                 paper_restore: paper::TABLE3[i].2,
             });

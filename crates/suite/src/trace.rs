@@ -26,7 +26,6 @@
 
 use crate::spec_run;
 use hvx_core::{Error, HvKind, ScenarioSpec, Workload};
-use hvx_engine::TraceMode;
 use serde::{Serialize, Value};
 use std::time::Instant;
 
@@ -72,7 +71,7 @@ pub struct TraceReport {
 /// [`Error::Serialize`] if the trace JSON fails to render.
 pub fn run_trace(spec: &ScenarioSpec, ring: Option<usize>) -> Result<TraceReport, Error> {
     let (mut sim, makespan) = spec_run::run_paper_sim(spec, |b| {
-        let b = b.tracing(TraceMode::Aggregate).profiling(true);
+        let b = b.profiling(true);
         match ring {
             Some(slots) => b.event_ring(slots),
             None => b.event_tracing(true),
@@ -758,7 +757,7 @@ mod tests {
     #[test]
     fn validation_rejects_broken_traces() {
         assert!(ParsedTrace::parse("not json").is_err());
-        assert!(ParsedTrace::parse("{\"noTraceEvents\": []}").is_err());
+        assert!(ParsedTrace::parse("{\"slices\": []}").is_err());
         // Well-formed JSON with no chains fails the chain gates.
         let empty = ParsedTrace::parse(
             "{\"traceEvents\": [{\"name\": \"x\", \"ph\": \"X\", \"ts\": 5, \

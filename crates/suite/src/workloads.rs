@@ -422,10 +422,9 @@ pub fn run_with(
     compile: bool,
 ) -> Result<Cycles, Error> {
     hv.set_virq_policy(policy);
-    hv.machine_mut().trace_mut().set_enabled(false);
     let start = hv.machine_mut().barrier();
     if compile {
-        // May refuse (tracing/faults/profiling/watchdog); every loop_*
+        // May refuse (event tracing/faults/profiling/watchdog); every loop_*
         // call below is then a no-op and the mix runs interpreted.
         hv.machine_mut().loop_begin();
     }

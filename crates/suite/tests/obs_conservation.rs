@@ -76,7 +76,6 @@ fn profile_reports_are_identical_across_job_counts() {
 #[test]
 fn hypercall_folded_stack_snapshot() {
     let mut sim = SimBuilder::new(HvKind::KvmArm)
-        .tracing(hvx_engine::TraceMode::Aggregate)
         .profiling(true)
         .build()
         .unwrap();

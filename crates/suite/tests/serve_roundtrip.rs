@@ -169,3 +169,48 @@ fn chaos_panic_is_typed_quarantined_and_leaves_the_server_alive() {
 
     stop(r);
 }
+
+/// `GET /trace/<segment>` names a file in the cache directory, so a
+/// segment that is not a canonical fingerprint must be refused before
+/// it reaches the filesystem — even where a valid-looking trace entry
+/// sits at the path it would resolve to.
+#[test]
+fn trace_route_refuses_paths_that_escape_the_cache() {
+    let dir = temp_dir("trace-escape");
+    let cache = Arc::new(ResultCache::open(&dir.join("cache")).unwrap());
+    // The cache keeps entries in `cache/v<schema>/<key>.json`: `../../x`
+    // climbs to `dir`, and an absolute segment replaces the directory.
+    let absolute = dir.join("abs");
+    let absolute = absolute.to_str().unwrap();
+    let plants = [
+        ("../../x", dir.join("x-trace.json")),
+        (absolute, dir.join("abs-trace.json")),
+    ];
+    for (segment, path) in &plants {
+        let entry = Value::Object(vec![
+            (
+                "schema".into(),
+                Value::U64(u64::from(hvx_suite::cache::SCHEMA_VERSION)),
+            ),
+            ("fingerprint".into(), Value::Str(format!("{segment}-trace"))),
+            ("kind".into(), Value::Str("trace-query".into())),
+            (
+                "payload".into(),
+                serde_json::parse_value(r#"{"chains": []}"#).unwrap(),
+            ),
+        ]);
+        std::fs::write(path, serde_json::to_string(&entry).unwrap()).unwrap();
+        // The plant is valid: the cache itself would serve it.
+        assert!(cache
+            .lookup_raw(&format!("{segment}-trace"), "trace-query")
+            .is_some());
+    }
+    let r = start(ServerConfig::default(), Some(Arc::clone(&cache)));
+    for (segment, _) in &plants {
+        let (status, v) = client::trace(&r.addr, segment, 5).unwrap();
+        assert_eq!(status, 400, "GET /trace/{segment}: {v:?}");
+        assert_eq!(str_of(&v, "error"), "bad-request");
+    }
+    stop(r);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -7,8 +7,9 @@ use hvx::engine::timeline;
 use hvx::{HvKind, SimBuilder};
 
 fn main() {
-    let mut kvm = SimBuilder::new(HvKind::KvmArm).build().unwrap();
-    let mut xen = SimBuilder::new(HvKind::XenArm).build().unwrap();
+    let traced = |kind| SimBuilder::new(kind).event_tracing(true).build().unwrap();
+    let mut kvm = traced(HvKind::KvmArm);
+    let mut xen = traced(HvKind::XenArm);
 
     let k = kvm.hypercall(0);
     let x = xen.hypercall(0);
@@ -18,13 +19,13 @@ fn main() {
     println!("  ratio: {:.1}x\n", k.as_f64() / x.as_f64());
 
     println!("Why: the KVM ARM transition trace (every step the world switch ran):");
-    for ev in kvm.machine().trace().events() {
-        if ev.duration.as_u64() == 0 {
+    for ev in kvm.machine().event_tracer().unwrap().slices() {
+        if ev.duration == 0 {
             continue;
         }
         println!(
             "  {:>7} cycles  [{:^9}] {}",
-            ev.duration.as_u64(),
+            ev.duration,
             ev.kind.to_string(),
             ev.label
         );
@@ -32,23 +33,24 @@ fn main() {
     println!("\nThe VGIC read-back (save:vgic) alone costs more than 8 whole Xen hypercalls.");
 
     println!("Xen's trace, for contrast:");
-    for ev in xen.machine().trace().events() {
+    for ev in xen.machine().event_tracer().unwrap().slices() {
         println!(
             "  {:>7} cycles  [{:^9}] {}",
-            ev.duration.as_u64(),
+            ev.duration,
             ev.kind.to_string(),
             ev.label
         );
     }
 
     // A cross-core path, rendered as a per-core timeline: the virtual
-    // IPI of Table II, with the sender's world switch, the wire, and the
-    // receiver's injection visible as lanes.
-    let mut kvm2 = SimBuilder::new(HvKind::KvmArm).build().unwrap();
+    // IPI of Table II, with the sender's world switch, the wire gap, and
+    // the receiver's injection visible as lanes.
+    let mut kvm2 = traced(HvKind::KvmArm);
     kvm2.virtual_ipi(0, 2);
+    let slices = kvm2.machine().event_tracer().unwrap().slices();
     println!("\nVirtual IPI (VCPU0 -> VCPU2) on KVM ARM, per-core timeline:");
     print!(
         "{}",
-        timeline::render(kvm2.machine().trace(), timeline::TimelineOptions::default())
+        timeline::render(&slices, timeline::TimelineOptions::default())
     );
 }

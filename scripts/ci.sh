@@ -18,6 +18,13 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "== cargo clippy, tests and benches included (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== examples, each run in release mode =="
+for ex in examples/*.rs; do
+    name=$(basename "$ex" .rs)
+    echo "-- example $name"
+    cargo run --release --quiet --example "$name" > /dev/null
+done
+
 echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

@@ -142,9 +142,15 @@ if [ "$(metric "$m2" hvx_serve_accepted_total)" != "0" ]; then
     echo "obs_serve_smoke: trace query went through admission instead of the cache" >&2
     exit 1
 fi
-miss=$("$repro" serve trace --addr "$addr" "no-such-fingerprint")
+miss=$("$repro" serve trace --addr "$addr" "00000000000000000000000000000000")
 if [ "$(field "$miss" status)" != "404" ]; then
     echo "obs_serve_smoke: unknown fingerprint did not 404: $miss" >&2
+    exit 1
+fi
+# A segment that is not a canonical fingerprint names no cache entry.
+bad=$("$repro" serve trace --addr "$addr" "no-such-fingerprint")
+if [ "$(field "$bad" status)" != "400" ]; then
+    echo "obs_serve_smoke: malformed fingerprint did not 400: $bad" >&2
     exit 1
 fi
 "$repro" serve drain --addr "$addr" >/dev/null

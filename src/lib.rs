@@ -28,17 +28,19 @@
 //!
 //! ```
 //! use hvx::{HvKind, SimBuilder, Workload};
-//! use hvx::engine::TraceMode;
 //!
 //! let mut kvm = SimBuilder::new(HvKind::KvmArm)
 //!     .cpus(4)
 //!     .workload(Workload::Netperf)
-//!     .tracing(TraceMode::Aggregate)
+//!     .event_tracing(true)
 //!     .build()?;
 //! let mut xen = SimBuilder::new(HvKind::XenArm).build()?;
 //! // Table II's first row, mechanistically: 6,500 vs 376 cycles.
 //! assert_eq!(kvm.hypercall(0).as_u64(), 6_500);
 //! assert_eq!(xen.hypercall(0).as_u64(), 376);
+//! // Table III: the VGIC save dominates KVM's world switch.
+//! let trace = kvm.machine().event_tracer().unwrap();
+//! assert_eq!(trace.total_by_label("save:vgic"), 3_250);
 //! # Ok::<(), hvx::Error>(())
 //! ```
 //!

@@ -85,18 +85,23 @@ fn vm_switch_identities() {
 #[test]
 fn lazy_fp_is_skipped_on_interrupt_paths_but_not_hypercalls() {
     // The hypercall path moves FP (Table III includes it); the I/O and
-    // IPI fast paths use lazy FPSIMD switching. Verify via traces.
+    // IPI fast paths use lazy FPSIMD switching. Verify via traces (each
+    // `enable_event_tracing` starts a fresh tracer).
     let mut kvm = KvmArm::new();
-    kvm.machine_mut().trace_mut().clear();
+    let save_fp = |kvm: &KvmArm| {
+        Cycles::new(
+            kvm.machine()
+                .event_tracer()
+                .unwrap()
+                .total_by_label("save:fp"),
+        )
+    };
+    kvm.machine_mut().enable_event_tracing(None);
     kvm.hypercall(0);
-    assert_eq!(kvm.machine().trace().total_by_label("save:fp"), c().fp.save);
-    kvm.machine_mut().trace_mut().clear();
+    assert_eq!(save_fp(&kvm), c().fp.save);
+    kvm.machine_mut().enable_event_tracing(None);
     kvm.io_latency_in(0);
-    assert_eq!(
-        kvm.machine().trace().total_by_label("save:fp"),
-        Cycles::ZERO,
-        "interrupt path skips FP"
-    );
+    assert_eq!(save_fp(&kvm), Cycles::ZERO, "interrupt path skips FP");
 }
 
 #[test]

@@ -112,10 +112,11 @@ fn virq_policy_changes_are_safe_mid_run() {
 fn traces_replay_identically() {
     let run = || {
         let mut kvm = KvmArm::new();
+        kvm.machine_mut().enable_event_tracing(None);
         kvm.hypercall(0);
         kvm.virtual_ipi(0, 2);
         kvm.io_latency_in(1);
-        kvm.machine().trace().labels().join(",")
+        kvm.machine().event_tracer().unwrap().labels().join(",")
     };
     assert_eq!(run(), run());
 }

@@ -165,30 +165,34 @@ fn full_hypervisor_paths_move_real_bytes() {
     // hypervisor results in NIC-visible packets with accounted bytes.
     use hvx::core::{Hypervisor, KvmArm, XenArm};
     let mut kvm = KvmArm::new();
+    kvm.machine_mut().enable_event_tracing(None);
     for len in [1usize, 64, 1000, 1400] {
         kvm.transmit(0, len);
     }
     let mut xen = XenArm::new();
+    xen.machine_mut().enable_event_tracing(None);
     for len in [1usize, 64, 1000, 1400] {
         xen.transmit(0, len);
         xen.receive(len, hvx::engine::Cycles::ZERO);
     }
     // Xen paid one grant copy per packet per direction; KVM paid none.
-    // (Copy accounting is observable through the machine traces.)
+    // (Copy accounting is observable through the event tracers.)
     let xen_copies = xen
         .machine()
-        .trace()
-        .events()
-        .iter()
-        .filter(|e| e.label == "xen:grant-copy")
+        .event_tracer()
+        .unwrap()
+        .labels()
+        .into_iter()
+        .filter(|l| *l == "xen:grant-copy")
         .count();
     assert_eq!(xen_copies, 8, "one copy per TX + one per RX");
     let kvm_copies = kvm
         .machine()
-        .trace()
-        .events()
-        .iter()
-        .filter(|e| e.label.contains("grant"))
+        .event_tracer()
+        .unwrap()
+        .labels()
+        .into_iter()
+        .filter(|l| l.contains("grant"))
         .count();
     assert_eq!(kvm_copies, 0, "virtio/vhost path is zero copy");
 }

@@ -117,9 +117,9 @@ fn section4_kvm_arm_exit_dearer_than_entry_unlike_x86() {
     // reading back the VGIC state is expensive" — while on x86 the exit
     // is only ~40% of the round trip.
     let mut kvm = KvmArm::new();
-    kvm.machine_mut().trace_mut().clear();
+    kvm.machine_mut().enable_event_tracing(None);
     kvm.hypercall(0);
-    let trace = kvm.machine().trace();
+    let trace = kvm.machine_mut().take_event_tracer().unwrap();
     let save: u64 = [
         "save:gp",
         "save:fp",
@@ -130,7 +130,7 @@ fn section4_kvm_arm_exit_dearer_than_entry_unlike_x86() {
         "save:el2-vm",
     ]
     .iter()
-    .map(|l| trace.total_by_label(l).as_u64())
+    .map(|l| trace.total_by_label(l))
     .sum();
     let restore: u64 = [
         "restore:gp",
@@ -142,7 +142,7 @@ fn section4_kvm_arm_exit_dearer_than_entry_unlike_x86() {
         "restore:el2-vm",
     ]
     .iter()
-    .map(|l| trace.total_by_label(l).as_u64())
+    .map(|l| trace.total_by_label(l))
     .sum();
     assert!(save > 2 * restore, "save {save} vs restore {restore}");
 }

@@ -366,6 +366,7 @@ proptest! {
     ) {
         use hvx::engine::{Machine, Topology, TraceKind};
         let mut m = Machine::new(Topology::paper_default());
+        m.enable_event_tracing(None);
         for (core, dur) in &events {
             m.charge(
                 hvx::engine::CoreId::new(*core),
@@ -375,7 +376,7 @@ proptest! {
             );
         }
         let art = timeline::render(
-            m.trace(),
+            &m.take_event_tracer().unwrap().slices(),
             timeline::TimelineOptions { width, min_duration: Cycles::ZERO },
         );
         let cores: std::collections::BTreeSet<u16> =

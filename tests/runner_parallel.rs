@@ -61,9 +61,9 @@ fn any_job_count_agrees() {
     }
 }
 
-/// The aggregate-trace fast path feeds the same numbers into Table II as
-/// the full trace: the runner's Table2 scenario output is identical to a
-/// fresh full-trace measurement.
+/// The runner's Table2 scenario output is identical to a fresh direct
+/// measurement. (The name predates the retired step trace, whose full
+/// and aggregate modes this once compared.)
 #[test]
 fn runner_table2_matches_full_trace_measurement() {
     let reports = runner::run_artifacts(&[ArtifactId::Table2], 1).unwrap();

@@ -1,6 +1,6 @@
 //! Trace audits: every cycle a microbenchmark reports must be accounted
-//! for by trace events, and every label must come from the documented
-//! vocabulary (catching typo'd or undocumented charge sites).
+//! for by event-tracer slices, and every label must come from the
+//! documented vocabulary (catching typo'd or undocumented charge sites).
 
 use hvx::core::{Hypervisor, KvmArm, KvmX86, XenArm, XenX86};
 use hvx::engine::Cycles;
@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 /// `hw:` hardware transitions, `save:`/`restore:` register classes,
 /// `gic:` interrupt controller, `kvm:`/`xen:`/`vhe:`/`x86:` software
 /// paths, `guest:`/`host:`/`native:` execution contexts, `nic:`/`disk:`
-/// devices, `signal:` in-flight wires.
+/// devices.
 const VOCABULARY: &[&str] = &[
     "hw:trap-el2",
     "hw:eret",
@@ -99,7 +99,6 @@ const VOCABULARY: &[&str] = &[
     "native:net-stack-rx",
     "nic:dma",
     "disk:service",
-    "signal:in-flight",
 ];
 
 fn drive_everything(hv: &mut dyn Hypervisor) {
@@ -130,8 +129,9 @@ fn every_charged_label_is_in_the_vocabulary() {
     ];
     for hv in &mut hvs {
         let kind = hv.kind();
+        hv.machine_mut().enable_event_tracing(None);
         drive_everything(hv.as_mut());
-        for label in hv.machine().trace().labels() {
+        for label in hv.machine().event_tracer().unwrap().labels() {
             assert!(vocab.contains(label), "{kind}: undocumented label {label}");
         }
     }
@@ -139,8 +139,8 @@ fn every_charged_label_is_in_the_vocabulary() {
 
 #[test]
 fn same_core_microbenchmarks_decompose_exactly() {
-    // For operations confined to the measuring core, the sum of its trace
-    // events equals the reported cost — no unaccounted cycles.
+    // For operations confined to the measuring core, the sum of its
+    // slices equals the reported cost — no unaccounted cycles.
     let cases: Vec<(&str, Box<dyn Hypervisor>)> = vec![
         ("kvm-arm", Box::new(KvmArm::new())),
         ("xen-arm", Box::new(XenArm::new())),
@@ -150,19 +150,23 @@ fn same_core_microbenchmarks_decompose_exactly() {
     for (name, mut hv) in cases {
         for op in 0..3 {
             hv.machine_mut().barrier();
-            hv.machine_mut().trace_mut().clear();
+            hv.machine_mut().enable_event_tracing(None);
             let cost = match op {
                 0 => hv.hypercall(0),
                 1 => hv.gicd_trap(0),
                 _ => hv.virq_complete(0),
             };
-            let core = hv.machine().topology().guest_core(0);
-            let accounted: Cycles = hv
-                .machine()
-                .trace()
-                .events_on(core)
-                .map(|e| e.duration)
-                .sum();
+            let track = hv.machine().topology().guest_core(0).index() as u8;
+            let accounted = Cycles::new(
+                hv.machine_mut()
+                    .take_event_tracer()
+                    .unwrap()
+                    .slices()
+                    .iter()
+                    .filter(|s| s.track == track)
+                    .map(|s| s.duration)
+                    .sum(),
+            );
             assert_eq!(
                 accounted, cost,
                 "{name} op {op}: {accounted} accounted vs {cost} reported"
@@ -176,12 +180,13 @@ fn cross_core_latencies_are_covered_by_trace_span() {
     // For cross-core operations, the reported latency never exceeds the
     // trace's global time span (nothing happens off the books).
     let mut kvm = KvmArm::new();
-    kvm.machine_mut().trace_mut().clear();
+    kvm.machine_mut().enable_event_tracing(None);
     let lat = kvm.virtual_ipi(0, 1);
-    let trace = kvm.machine().trace();
-    let start = trace.events().iter().map(|e| e.start).min().unwrap();
-    let end = trace.events().iter().map(|e| e.end()).max().unwrap();
-    assert!(end - start >= lat, "span {} < latency {lat}", end - start);
+    let slices = kvm.machine().event_tracer().unwrap().slices();
+    let start = slices.iter().map(|s| s.start).min().unwrap();
+    let end = slices.iter().map(|s| s.start + s.duration).max().unwrap();
+    let span = Cycles::new(end - start);
+    assert!(span >= lat, "span {span} < latency {lat}");
 }
 
 #[test]
@@ -191,18 +196,24 @@ fn vocabulary_has_no_unused_entries_for_arm_paths() {
     let mut seen: BTreeSet<String> = BTreeSet::new();
     let mut kvm = KvmArm::new();
     let mut xen = XenArm::new();
+    kvm.machine_mut().enable_event_tracing(None);
+    xen.machine_mut().enable_event_tracing(None);
     drive_everything(&mut kvm);
     drive_everything(&mut xen);
     kvm.stage2_fault(0);
     xen.stage2_fault(0);
-    for l in kvm
-        .machine()
-        .trace()
-        .labels()
-        .into_iter()
-        .chain(xen.machine().trace().labels())
-    {
+    let kvm_trace = kvm.machine().event_tracer().unwrap();
+    let xen_trace = xen.machine().event_tracer().unwrap();
+    for l in kvm_trace.labels().into_iter().chain(xen_trace.labels()) {
         seen.insert(l.to_string());
+    }
+    // Both models carry work across cores: some causal chain hops
+    // between tracks (a wire or an IPI in flight).
+    for (name, trace) in [("kvm-arm", kvm_trace), ("xen-arm", xen_trace)] {
+        assert!(
+            trace.chains().iter().any(|c| c.track_span() > 1),
+            "{name}: no cross-core chain"
+        );
     }
     for must_see in [
         "save:vgic",
@@ -211,7 +222,6 @@ fn vocabulary_has_no_unused_entries_for_arm_paths() {
         "kvm:page-alloc",
         "xen:page-alloc",
         "gic:vif-eoi",
-        "signal:in-flight",
     ] {
         assert!(seen.contains(must_see), "never charged: {must_see}");
     }
