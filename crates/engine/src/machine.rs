@@ -1,6 +1,11 @@
 //! The simulated multi-core machine: per-core cycle clocks plus the
 //! opt-in observers of each charge.
 //!
+//! A machine with any observer or limit — profiler, event tracer,
+//! fault plan, finite watchdog — always interprets: only a machine
+//! nothing watches may open a compiled loop session
+//! ([`Machine::loop_begin`], [`crate::compile`]).
+//!
 //! hvx models time the way the paper measures it: with per-physical-core
 //! cycle counters ("measurements were obtained using cycle counters ... to
 //! ensure consistency across multiple CPUs", §IV). Each core owns a
@@ -471,9 +476,6 @@ impl Machine {
     pub fn span_enter(&mut self, id: TransitionId) {
         let Some(p) = &mut self.profiler else { return };
         p.spans.enter(id);
-        if self.loop_state.is_some() {
-            self.loop_record(RawOp::SpanEnter(id));
-        }
     }
 
     /// Closes the innermost span, which must be `id`.
@@ -486,9 +488,6 @@ impl Machine {
     pub fn span_exit(&mut self, id: TransitionId) {
         let Some(p) = &mut self.profiler else { return };
         p.spans.exit(id);
-        if self.loop_state.is_some() {
-            self.loop_record(RawOp::SpanExit(id));
-        }
     }
 
     /// Adds `n` to the named counter. No-op while profiling is
@@ -497,9 +496,6 @@ impl Machine {
     pub fn bump(&mut self, name: &'static str, n: u64) {
         let Some(p) = &mut self.profiler else { return };
         p.metrics.bump(name, n);
-        if self.loop_state.is_some() {
-            self.loop_record(RawOp::Bump { name, n });
-        }
     }
 
     /// Records one histogram observation. No-op while profiling is
@@ -508,9 +504,6 @@ impl Machine {
     pub fn observe(&mut self, name: &'static str, value: u64) {
         let Some(p) = &mut self.profiler else { return };
         p.metrics.observe(name, value);
-        if self.loop_state.is_some() {
-            self.loop_record(RawOp::Observe { name, value });
-        }
     }
 
     /// The span tracer, if profiling is enabled.
@@ -537,48 +530,27 @@ impl Machine {
     /// once a steady-state period is confirmed — replays the compiled
     /// block in bulk, skipping iterations wholesale.
     ///
-    /// Returns `false` (and records nothing) when the machine is not
-    /// eligible: profiling enabled (see
-    /// [`Machine::loop_begin_profiled`]), a fault plan installed,
-    /// event tracing on, or a finite watchdog — in every such case the
-    /// per-transition machinery observes state a bulk replay cannot
-    /// reproduce, so the loop stays interpreted. All other `loop_*`
-    /// calls are cheap no-ops after a `false` here, so drivers need no
-    /// separate code path.
+    /// Returns `false` (and records nothing) when anything observes or
+    /// limits the machine: profiling enabled, event tracing on, a fault
+    /// plan installed, or a finite watchdog. Each of these sees
+    /// individual transitions that a bulk replay skips, so the loop
+    /// stays interpreted. All other `loop_*` calls are cheap no-ops
+    /// after a `false` here, so drivers need no separate code path.
     pub fn loop_begin(&mut self) -> bool {
-        self.loop_begin_inner(false)
-    }
-
-    /// Like [`Machine::loop_begin`] but also eligible on a profiled
-    /// machine with no open span: the compiled block then carries a
-    /// batched span/metric delta applied via `merge_scaled` per
-    /// replayed block. Only sound when nothing samples model-side
-    /// lifetime counters into the registry mid-loop (the suite's
-    /// profiling harness does, so it never opts in).
-    pub fn loop_begin_profiled(&mut self) -> bool {
-        self.loop_begin_inner(true)
-    }
-
-    fn loop_begin_inner(&mut self, allow_profiled: bool) -> bool {
         if self.loop_state.is_some() {
             // Nested sessions are unsupported; drop the outer one
             // rather than corrupt its iteration structure.
             self.loop_state = None;
             return false;
         }
-        let profiled = self.profiler.is_some();
-        let profile_ok = match &self.profiler {
-            None => true,
-            Some(p) => allow_profiled && p.spans.depth() == 0,
-        };
-        let eligible = self.faults.is_none()
+        let eligible = self.profiler.is_none()
+            && self.faults.is_none()
             && self.events.is_none()
             && self.cycle_budget == u64::MAX
             && self.livelock_limit == u64::MAX
-            && self.clocks.len() <= usize::from(u8::MAX) + 1
-            && profile_ok;
+            && self.clocks.len() <= usize::from(u8::MAX) + 1;
         if eligible {
-            self.loop_state = Some(Box::new(LoopState::Recording(Recorder::new(profiled))));
+            self.loop_state = Some(Box::new(LoopState::Recording(Recorder::default())));
         }
         eligible
     }
@@ -721,12 +693,6 @@ impl Machine {
             }
         }
         TRANSITIONS.with(|t| t.set(t.get().wrapping_add(charges)));
-        if let Some(delta) = &program.profile_delta {
-            if let Some(p) = &mut self.profiler {
-                p.spans.merge_scaled(&delta.spans, blocks);
-                p.metrics.merge_scaled(&delta.metrics, blocks);
-            }
-        }
         let skipped = blocks * program.period;
         self.iters_replayed += skipped;
         skipped
@@ -1370,12 +1336,8 @@ mod tests {
 
     /// Runs `iters` iterations of `body` under a loop session, the way
     /// suite drivers do.
-    fn drive(m: &mut Machine, iters: u64, profiled: bool, mut body: impl FnMut(&mut Machine, u64)) {
-        if profiled {
-            m.loop_begin_profiled();
-        } else {
-            m.loop_begin();
-        }
+    fn drive(m: &mut Machine, iters: u64, mut body: impl FnMut(&mut Machine, u64)) {
+        m.loop_begin();
         let mut i = 0;
         while i < iters {
             let skipped = m.loop_replay(iters - i);
@@ -1420,7 +1382,7 @@ mod tests {
     fn loop_replay_is_identical_to_interpretation() {
         let mut compiled = Machine::new(Topology::split(2, 1));
         let mut interpreted = Machine::new(Topology::split(2, 1));
-        drive(&mut compiled, 500, false, ping_pong);
+        drive(&mut compiled, 500, ping_pong);
         for i in 0..500 {
             ping_pong(&mut interpreted, i);
         }
@@ -1437,7 +1399,7 @@ mod tests {
         };
         let mut compiled = Machine::new(Topology::split(2, 1));
         let mut interpreted = Machine::new(Topology::split(2, 1));
-        drive(&mut compiled, 501, false, body);
+        drive(&mut compiled, 501, body);
         for i in 0..501 {
             body(&mut interpreted, i);
         }
@@ -1457,7 +1419,7 @@ mod tests {
         };
         let mut compiled = Machine::new(Topology::split(2, 1));
         let mut interpreted = Machine::new(Topology::split(2, 1));
-        drive(&mut compiled, 400, false, body);
+        drive(&mut compiled, 400, body);
         for i in 0..400 {
             body(&mut interpreted, i);
         }
@@ -1504,107 +1466,88 @@ mod tests {
         assert_replay_matches(&compiled, &interpreted);
     }
 
-    #[test]
-    fn profiled_loop_replay_matches_interpreted_observability() {
-        let body = |m: &mut Machine, _i: u64| {
-            m.charge_as(
-                CoreId::new(0),
-                "vm:hypercall",
-                TraceKind::Trap,
-                Cycles::new(520),
-                TransitionId::Eret,
-            );
-            m.bump("loop.iters", 1);
-            m.observe("loop.cost", 520);
-            m.charge(CoreId::new(0), "guest", TraceKind::Guest, Cycles::new(80));
-        };
-        let mk = || {
-            let mut m = Machine::new(Topology::split(2, 1));
-            m.enable_profiling();
-            m
-        };
-        let mut compiled = mk();
-        let mut interpreted = mk();
-        drive(&mut compiled, 300, true, body);
-        for i in 0..300 {
-            body(&mut interpreted, i);
-        }
-        assert!(compiled.iters_replayed() > 200);
-        assert_replay_matches(&compiled, &interpreted);
-        let (cs, is) = (compiled.spans().unwrap(), interpreted.spans().unwrap());
-        assert_eq!(cs.total(), is.total());
-        assert_eq!(cs.unattributed(), is.unattributed());
-        assert_eq!(
-            cs.exclusive(TransitionId::Eret),
-            is.exclusive(TransitionId::Eret)
-        );
-        assert_eq!(cs.count(TransitionId::Eret), is.count(TransitionId::Eret));
-        assert_eq!(cs.folded("run"), is.folded("run"));
-        let (cm, im) = (compiled.metrics().unwrap(), interpreted.metrics().unwrap());
-        assert_eq!(cm.counter("loop.iters"), im.counter("loop.iters"));
-        let (ch, ih) = (
-            cm.histogram("loop.cost").unwrap(),
-            im.histogram("loop.cost").unwrap(),
-        );
-        assert_eq!(ch.count(), ih.count());
-        assert_eq!(ch.sum(), ih.sum());
-    }
+    /// A named change applied to a machine.
+    type Setup = (&'static str, fn(&mut Machine));
 
-    #[test]
-    fn plain_loop_begin_refuses_profiled_machines() {
-        let mut m = Machine::new(Topology::split(2, 1));
-        m.enable_profiling();
-        assert!(!m.loop_begin());
-        drive(&mut m, 100, false, ping_pong);
-        assert_eq!(m.iters_replayed(), 0);
+    /// Every observer or limit that keeps a machine interpreting, set
+    /// up the way a suite driver would before opening a session.
+    fn observers() -> [Setup; 4] {
+        [
+            ("profiling", |m| m.enable_profiling()),
+            ("event tracing", |m| m.enable_event_tracing(None)),
+            ("fault plan", |m| {
+                m.set_fault_plan(FaultPlan::new(7).with_occurrence(FaultPoint::VirqDrop, 3));
+            }),
+            ("finite watchdog", |m| {
+                m.set_watchdog(Watchdog {
+                    cycle_budget: Some(u64::MAX - 1),
+                    livelock_threshold: None,
+                });
+            }),
+        ]
     }
 
     #[test]
     fn ineligible_machines_stay_interpreted() {
         // A machine with no observer is eligible.
-        let mut m = Machine::new(Topology::split(2, 1));
-        assert!(m.loop_begin());
-        // Fault plan installed.
-        let mut m = Machine::new(Topology::split(2, 1));
-        m.set_fault_plan(FaultPlan::new(7).with_occurrence(FaultPoint::VirqDrop, 3));
-        assert!(!m.loop_begin());
-        // Finite watchdog.
-        let mut m = Machine::new(Topology::split(2, 1));
-        m.set_watchdog(Watchdog {
-            cycle_budget: Some(u64::MAX - 1),
-            livelock_threshold: None,
-        });
-        assert!(!m.loop_begin());
-        // Event tracing on.
-        let mut m = Machine::new(Topology::split(2, 1));
-        m.enable_event_tracing(None);
-        assert!(!m.loop_begin());
-        // Even with a session refused, the loop still runs correctly.
-        let mut refused = Machine::new(Topology::split(2, 1));
-        refused.enable_event_tracing(None);
-        drive(&mut refused, 50, false, ping_pong);
-        assert_eq!(refused.iters_replayed(), 0);
-        let mut interpreted = Machine::new(Topology::split(2, 1));
-        interpreted.enable_event_tracing(None);
-        for i in 0..50 {
-            ping_pong(&mut interpreted, i);
+        assert!(Machine::new(Topology::split(2, 1)).loop_begin());
+        for (name, observe) in observers() {
+            let mut refused = Machine::new(Topology::split(2, 1));
+            observe(&mut refused);
+            assert!(!refused.loop_begin(), "{name}: session must be refused");
+            // Even with a session refused, the loop still runs correctly.
+            drive(&mut refused, 100, ping_pong);
+            assert_eq!(refused.iters_replayed(), 0, "{name}");
+            let mut interpreted = Machine::new(Topology::split(2, 1));
+            observe(&mut interpreted);
+            for i in 0..100 {
+                ping_pong(&mut interpreted, i);
+            }
+            assert_eq!(refused.clocks, interpreted.clocks, "{name}");
+            assert_eq!(refused.busy, interpreted.busy, "{name}");
         }
-        assert_eq!(refused.clocks, interpreted.clocks);
     }
 
+    /// Each way an open session aborts (DESIGN §12): switching on any
+    /// observer or limit, a barrier, a nested `loop_begin`, or a charge
+    /// outside an open iteration. The session is dropped, later replays
+    /// skip nothing, and time matches an interpreted twin's.
     #[test]
     fn config_changes_abort_an_open_session() {
-        let mut m = Machine::new(Topology::split(2, 1));
-        assert!(m.loop_begin());
-        m.loop_iter_begin();
-        ping_pong(&mut m, 0);
-        m.set_watchdog(Watchdog {
-            cycle_budget: Some(1 << 60),
-            livelock_threshold: None,
-        });
-        assert!(m.loop_state.is_none());
-        // Aborted sessions no-op from then on.
-        assert_eq!(m.loop_replay(100), 0);
+        let others: [Setup; 3] = [
+            ("barrier", |m| {
+                m.barrier();
+            }),
+            ("nested loop_begin", |m| {
+                m.loop_begin();
+            }),
+            ("charge outside an iteration", |m| {
+                m.loop_replay(100); // closes the open iteration
+                m.charge(CoreId::new(1), "stray", TraceKind::Host, Cycles::new(90));
+            }),
+        ];
+        for (name, abort) in observers().into_iter().chain(others) {
+            let mut m = Machine::new(Topology::split(2, 1));
+            assert!(m.loop_begin());
+            m.loop_iter_begin();
+            ping_pong(&mut m, 0);
+            abort(&mut m);
+            assert!(m.loop_state.is_none(), "{name}: the session must be gone");
+            let mut twin = Machine::new(Topology::split(2, 1));
+            ping_pong(&mut twin, 0);
+            abort(&mut twin);
+            twin.loop_end();
+            // Aborted sessions no-op from then on.
+            for i in 1..100 {
+                assert_eq!(m.loop_replay(100 - i), 0, "{name}");
+                m.loop_iter_begin();
+                ping_pong(&mut m, i);
+                ping_pong(&mut twin, i);
+            }
+            assert_eq!(m.iters_replayed(), 0, "{name}");
+            assert_eq!(m.clocks, twin.clocks, "{name}: clocks diverged");
+            assert_eq!(m.busy, twin.busy, "{name}: busy diverged");
+        }
     }
 
     #[test]
@@ -1620,7 +1563,7 @@ mod tests {
         };
         let mut compiled = Machine::new(Topology::split(2, 1));
         let mut interpreted = Machine::new(Topology::split(2, 1));
-        drive(&mut compiled, 200, false, body);
+        drive(&mut compiled, 200, body);
         for i in 0..200 {
             body(&mut interpreted, i);
         }
@@ -1633,7 +1576,7 @@ mod tests {
     fn thread_transitions_counts_interpreted_and_replayed_alike() {
         let before = thread_transitions();
         let mut m = Machine::new(Topology::split(2, 1));
-        drive(&mut m, 500, false, ping_pong);
+        drive(&mut m, 500, ping_pong);
         let counted = thread_transitions().wrapping_sub(before);
         // Two charges per iteration, whether interpreted or replayed.
         assert_eq!(counted, 1000);

@@ -10,8 +10,7 @@
 //!   span, so exclusive totals are exact and, with the unattributed
 //!   remainder, sum to the run total (conservation);
 //! * [`MetricsRegistry`] / [`HistogramSketch`] — named counters and
-//!   power-of-two histograms, lock-free in steady state, with a
-//!   deterministic cross-thread merge;
+//!   power-of-two histograms, lock-free in steady state;
 //! * [`EventTracer`] — causal event tracing: timestamped slices on
 //!   per-core tracks plus [`FlowKind`] chains stitching causally-linked
 //!   work across machines, with Chrome trace-event export and a

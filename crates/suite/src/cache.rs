@@ -250,6 +250,13 @@ impl ResultCache {
         self.dir.join(format!("{key}.json"))
     }
 
+    /// Whether `key` names a file inside the cache directory: non-empty
+    /// and only ASCII letters, digits and `-`, so no separator, `..` or
+    /// absolute path can carry a raw key outside it.
+    fn key_is_safe(key: &str) -> bool {
+        !key.is_empty() && key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-')
+    }
+
     /// Looks up the stored result for `scenario` under `cfg`. Counts a
     /// hit or miss; returns `None` for uncacheable scenarios, absent
     /// entries, and entries that fail validation (wrong schema, wrong
@@ -261,13 +268,17 @@ impl ResultCache {
     }
 
     /// Reads the entry stored under `key` (`<key>.json`) and hands its
-    /// kind tag and payload to `decode`. An unreadable entry, a wrong
+    /// kind tag and payload to `decode`. An unsafe key (see
+    /// [`ResultCache::key_is_safe`]), an unreadable entry, a wrong
     /// schema, or a stored fingerprint other than `key` is a miss.
     fn read_entry<T>(
         &self,
         key: &str,
         decode: impl FnOnce(&str, &Value) -> Option<T>,
     ) -> Option<T> {
+        if !Self::key_is_safe(key) {
+            return None;
+        }
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
         let entry = serde_json::parse_value(&text).ok()?;
         if entry.get("schema")?.as_u64()? != u64::from(SCHEMA_VERSION) {
@@ -306,8 +317,11 @@ impl ResultCache {
     /// Installs the entry for `key` as `<key>.json`: schema, `key` as its
     /// fingerprint, the scenario label when there is one, the kind tag
     /// and the payload. Best-effort: an I/O failure leaves no entry and
-    /// no temp file behind.
+    /// no temp file behind, and an unsafe key writes nothing.
     fn write_entry(&self, key: &str, scenario: Option<String>, kind: &str, payload: Value) {
+        if !Self::key_is_safe(key) {
+            return;
+        }
         let mut fields = vec![
             ("schema".to_string(), Value::U64(u64::from(SCHEMA_VERSION))),
             ("fingerprint".to_string(), Value::Str(key.to_string())),
@@ -487,6 +501,38 @@ mod tests {
         // Wrong kind and unknown fingerprints are misses, not errors.
         assert!(cache.lookup_raw("abc123", "other-kind").is_none());
         assert!(cache.lookup_raw("def456", "spec-result").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn raw_keys_that_could_leave_the_cache_directory_are_refused() {
+        let dir = tmpdir("escape");
+        let cache = ResultCache::open(&dir.join("cache")).unwrap();
+        let payload = Value::Str("planted".into());
+        let inside = dir.join("abs");
+        let inside = inside.to_str().unwrap();
+        for key in ["../x", "/tmp/x", inside, "a/b", "..", ""] {
+            // Where the test's own directory holds the path a key would
+            // resolve to, a well-formed entry planted there is still a
+            // miss, and storing under the key writes nothing.
+            let path = cache.entry_path(key);
+            if path.starts_with(&dir) {
+                std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+                let entry = Value::Object(vec![
+                    ("schema".into(), Value::U64(u64::from(SCHEMA_VERSION))),
+                    ("fingerprint".into(), Value::Str(key.into())),
+                    ("kind".into(), Value::Str("k".into())),
+                    ("payload".into(), payload.clone()),
+                ]);
+                std::fs::write(&path, serde_json::to_string(&entry).unwrap()).unwrap();
+                cache.store_raw(key, "k", payload.clone());
+            }
+            assert!(cache.lookup_raw(key, "k").is_none(), "{key:?} served");
+        }
+        assert_eq!(cache.stats().stores, 0, "nothing was written");
+        // Safe keys keep working: hex fingerprints and derived keys.
+        cache.store_raw("abc123-trace", "k", payload.clone());
+        assert_eq!(cache.lookup_raw("abc123-trace", "k"), Some(payload));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,6 +5,8 @@ set -eu
 
 echo "== cargo fmt --check =="
 cargo fmt --check
+# perfbench is its own workspace, so the root checks do not reach it.
+cargo fmt --check --manifest-path perfbench/Cargo.toml
 
 echo "== cargo build --release =="
 cargo build --release
@@ -17,6 +19,7 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo clippy, tests and benches included (warnings denied) =="
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "== examples, each run in release mode =="
 for ex in examples/*.rs; do

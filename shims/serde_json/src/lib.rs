@@ -133,9 +133,17 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts. The parser
+/// recurses once per level, so without a bound a few kilobytes of
+/// `[[[…` exhaust a thread's stack and abort the process; the
+/// workspace's own documents nest at most a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 /// Parses a complete JSON document into a [`Value`].
@@ -143,6 +151,7 @@ pub fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -194,8 +203,8 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(Error::custom(format!("unexpected byte at {}", self.pos))),
         }
@@ -287,6 +296,21 @@ impl<'a> Parser<'a> {
                 .map(Value::U128)
                 .map_err(|_| Error::custom("invalid integer"))
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing documents
+    /// nested past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "JSON nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -381,5 +405,20 @@ mod tests {
     fn negative_and_float_numbers_parse() {
         assert_eq!(parse_value("-3").unwrap(), Value::I64(-3));
         assert_eq!(parse_value("2.5e1").unwrap(), Value::F64(25.0));
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}0{}", r#"{"a":"#.repeat(n), "}".repeat(n));
+        assert!(parse_value(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse_value(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse_value(&arrays(MAX_DEPTH + 1)).is_err());
+        // Deep enough to overflow any thread's stack without the cap;
+        // an unterminated prefix must fail the same way.
+        for doc in [arrays(100_000), objects(100_000), "[".repeat(100_000)] {
+            let err = parse_value(&doc).unwrap_err();
+            assert!(err.to_string().contains("nested deeper"), "{err}");
+        }
     }
 }
